@@ -11,6 +11,7 @@ from .model import (
     Cim,
     CtbnModel,
     DEFAULT_STATE_CAP,
+    DENSE_BYTES_CAP,
     InvalidModelError,
     ProcessSpec,
     StateSpaceCapError,
@@ -23,6 +24,7 @@ from .model import (
     build_state_space_graph,
     ctbn_graph,
     enumerate_states,
+    intensity_matrix,
     load_model,
     local_rate,
     model_from_json_dict,

@@ -48,6 +48,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonneg_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
+    return value
+
+
 def _cascade_length(text: str) -> int:
     value = int(text)
     if value < 2:
@@ -301,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=_positive_float, default=100.0)
     p.add_argument("--trajectories", type=_positive_int, default=10_000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--max-active", type=int, default=None,
+    p.add_argument("--max-active", type=_nonneg_int, default=None,
                    help="estimate only states with at most this many active alarms "
                         "(plus their neighbors)")
     p.add_argument("--exact", action="store_true", help="solve the linear system")
@@ -339,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_positive_float, default=None)
     p.add_argument("--t-end", type=_positive_float, default=None, dest="t_end")
     p.add_argument("--trajectories", type=_positive_int, default=None)
-    p.add_argument("--max-active", type=int, default=None)
+    p.add_argument("--max-active", type=_nonneg_int, default=None)
     p.add_argument("--fast-threshold", type=_positive_float, default=None)
     p.add_argument("--min-length", type=_cascade_length, default=None)
     p.add_argument("--display-trajectories", type=_positive_int, default=None)

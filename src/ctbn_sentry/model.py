@@ -22,12 +22,14 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import expm
 
 from .graphs import DiGraph, is_ancestral
 
 ROW_SUM_TOL = 1e-9
 DEFAULT_STATE_CAP = 1 << 20
+DENSE_BYTES_CAP = 1 << 30  # largest dense S x S float64 matrix amalgamate builds (1 GiB)
 
 StateVector = tuple  # one local state per process, in model process order
 
@@ -290,6 +292,9 @@ def validate_model(model: CtbnModel, include_warnings: bool = False) -> list[Vio
         for cfg in range(mats.shape[0]):
             mat = mats[cfg]
             where = f"{p.name}[config {cfg}]"
+            if not np.isfinite(mat).all():
+                err("non-finite", where, f"NaN or infinite rate in {where}")
+                continue
             off = mat.copy()
             np.fill_diagonal(off, 0.0)
             if (off < 0).any():
@@ -325,6 +330,9 @@ def validate_model(model: CtbnModel, include_warnings: bool = False) -> list[Vio
                 err("initial", "<model>",
                     f"initial distribution has length {dist.shape}, "
                     f"expected {model.state_count}")
+            elif not np.isfinite(dist).all():
+                err("non-finite", "<model>",
+                    "initial distribution has NaN or infinite entries")
             else:
                 if (dist < 0).any():
                     err("initial", "<model>", "initial distribution has negative entries")
@@ -366,30 +374,51 @@ def local_rate(model: CtbnModel, process: int | str, state: Sequence[int]) -> np
     return model.cims[j].matrices[cfg][int(state[j])]
 
 
-def amalgamate(model: CtbnModel, max_states: int = DEFAULT_STATE_CAP) -> np.ndarray:
-    """Flatten the CTBN into a dense intensity matrix over the joint space.
+def intensity_matrix(model: CtbnModel, max_states: int = DEFAULT_STATE_CAP) -> sp.csr_matrix:
+    """Flatten the CTBN into a sparse (CSR) intensity matrix over the joint space.
 
     Entry (x, y) for states differing only in process j is j's local
     transition rate under x's parent configuration; states differing in two
     or more components get rate 0, and the diagonal closes each row to 0.
+    Row x stores one entry per state-space neighbor (zero rates included)
+    plus the diagonal, so nnz = S * (1 + sum_j (c_j - 1)).
+    """
+    gs = build_state_space_graph(model, max_states)
+    n = gs.node_count
+    idx = np.arange(n, dtype=np.int64)
+    digits = [(idx // m) % c for m, c in zip(gs.multipliers, gs.cardinalities)]
+    rates = np.empty((n, gs.degree))  # columns follow StateSpaceGraph.neighbor_table
+    col = 0
+    for j, cim in enumerate(model.cims):
+        config = np.zeros(n, dtype=np.int64)
+        for p, pm in zip(model.parent_indices[j], model.parent_multipliers[j]):
+            config += digits[p] * pm
+        active = cim.matrices[config, digits[j]]  # CIM row in force at every state
+        for target in _neighbor_targets(digits[j], gs.cardinalities[j]):
+            rates[:, col] = active[idx, target]
+            col += 1
+    off = sp.csr_matrix(
+        (rates.ravel(), gs.neighbor_table(idx).ravel(),
+         np.arange(n + 1) * gs.degree),
+        shape=(n, n))
+    return (off - sp.diags(rates.sum(axis=1))).tocsr()
+
+
+def amalgamate(model: CtbnModel, max_states: int = DEFAULT_STATE_CAP) -> np.ndarray:
+    """Dense, read-only copy of :func:`intensity_matrix`.
+
+    For small models and tests; the analysis itself works on the sparse
+    matrix.  Raises :class:`StateSpaceCapError` before allocating when the
+    S x S float64 array would exceed ``DENSE_BYTES_CAP`` bytes.
     """
     require_valid(model)
     n = model.state_count
-    if n > max_states:
-        raise StateSpaceCapError(f"joint state space has {n} states, cap is {max_states}")
-    Q = np.zeros((n, n))
-    mults = model.state_multipliers
-    for i, x in enumerate(enumerate_states(model)):
-        for j in range(model.process_count):
-            row = local_rate(model, j, x)
-            xj = x[j]
-            for s in range(model.cardinalities[j]):
-                if s == xj:
-                    continue
-                rate = row[s]
-                if rate != 0.0:
-                    Q[i, i + (s - xj) * mults[j]] = rate
-        Q[i, i] = -Q[i].sum()
+    nbytes = n * n * np.dtype(float).itemsize
+    if nbytes > DENSE_BYTES_CAP:
+        raise StateSpaceCapError(
+            f"dense intensity matrix for {n} states needs {nbytes} bytes, "
+            f"cap is {DENSE_BYTES_CAP} bytes")
+    Q = intensity_matrix(model, max_states).toarray()
     Q.flags.writeable = False
     return Q
 
@@ -405,6 +434,12 @@ def transient_distribution(intensity: np.ndarray, initial: np.ndarray, t: float)
 
 
 # -- state space graph --------------------------------------------------------
+
+
+def _neighbor_targets(digit: np.ndarray, cardinality: int) -> Iterator[np.ndarray]:
+    """The other local states of a process, ascending: k, skipping `digit`."""
+    for k in range(cardinality - 1):
+        yield k + (k >= digit)
 
 
 @dataclass(frozen=True)
@@ -445,15 +480,25 @@ class StateSpaceGraph:
     def index_of(self, state: Sequence[int]) -> int:
         return sum(int(v) * m for v, m in zip(state, self.multipliers))
 
+    def neighbor_table(self, indices) -> np.ndarray:
+        """Neighbors of many states at once: shape ``indices.shape + (degree,)``.
+
+        Neighbors are listed by process, then by target local state
+        ascending (the order of :meth:`neighbors`).
+        """
+        idx = np.asarray(indices, dtype=np.int64)
+        out = np.empty(idx.shape + (self.degree,), dtype=np.int64)
+        col = 0
+        for c, m in zip(self.cardinalities, self.multipliers):
+            digit = (idx // m) % c
+            for target in _neighbor_targets(digit, c):
+                out[..., col] = idx + (target - digit) * m
+                col += 1
+        return out
+
     def neighbors(self, index: int) -> list[int]:
         """Indices of all states differing from `index` in exactly one process."""
-        values = self.state_of(index)
-        out = []
-        for j, (v, c, m) in enumerate(zip(values, self.cardinalities, self.multipliers)):
-            for s in range(c):
-                if s != v:
-                    out.append(index + (s - v) * m)
-        return out
+        return self.neighbor_table(index).tolist()
 
     def is_adjacent(self, i: int, j: int) -> bool:
         return i != j and j in self.neighbors(i)

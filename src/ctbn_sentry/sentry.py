@@ -2,9 +2,9 @@
 
 The central quantity is the expected discounted number of transitions
 (EDNT) out of each joint state: every future transition at time t
-contributes e^(-alpha * t).  On small state spaces the exact value solves a
-linear system over the flattened chain; in general it is estimated by Monte
-Carlo over sampled trajectories.  The relative EDNT (REDNT) of a state is
+contributes e^(-alpha * t).  Up to the state cap the exact value solves a
+sparse linear system over the flattened chain; otherwise it is estimated by
+Monte Carlo over sampled trajectories.  The relative EDNT (REDNT) of a state is
 the largest ratio of its EDNT to that of any neighbor in the state-space
 graph (the state itself included, which floors the ratio at 1); states with
 high REDNT and few active alarms are the sentry candidates.
@@ -19,19 +19,23 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import bicgstab
 
 from .model import (
     CtbnModel,
     DEFAULT_STATE_CAP,
     StateSpaceGraph,
     active_alarm_count,
-    amalgamate,
+    intensity_matrix,
     require_valid,
     state_index,
 )
 from .simulate import SimulationConfig, _compile, _run_events, derive_seed
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
+BACKWARD_ERROR_TOL = 1e-14  # componentwise backward error the exact solve must reach
+MAX_REFINEMENTS = 8
 
 
 @dataclass(frozen=True)
@@ -106,9 +110,7 @@ class RedntRanking:
     @property
     def order(self) -> list[int]:
         """State indices sorted by REDNT descending, ties by index ascending."""
-        pairs = sorted(zip(self.state_indices.tolist(), self.values.tolist()),
-                       key=lambda sv: (-sv[1], sv[0]))
-        return [s for s, _ in pairs]
+        return self.state_indices[np.lexsort((self.state_indices, -self.values))].tolist()
 
     def value_of(self, index: int) -> float:
         pos = np.flatnonzero(self.state_indices == index)
@@ -240,16 +242,40 @@ def ednt_exact(model: CtbnModel, alpha: float,
                max_states: int = DEFAULT_STATE_CAP) -> np.ndarray:
     """Exact EDNT for every joint state by first-step analysis.
 
-    With Q the flattened intensity matrix and q the exit-rate vector, the
-    values solve (alpha I - Q) V = q; this is the infinite-horizon limit of
-    the Monte Carlo estimator.  States with exit rate 0 get V = 0.
+    With Q the sparse intensity matrix (:func:`intensity_matrix`) and q the
+    exit-rate vector, the values solve (alpha I - Q) V = q; this is the
+    infinite-horizon limit of the Monte Carlo estimator.  The system is a
+    nonsingular M-matrix, solved by Jacobi-preconditioned BiCGSTAB inside
+    iterative refinement until the componentwise backward error
+    max_i |q - A V|_i / (|A| |V| + q)_i is at most ``BACKWARD_ERROR_TOL``;
+    ``ValueError`` reports the error reached if ``MAX_REFINEMENTS`` steps do
+    not get there.  States with exit rate 0 get V = 0 exactly.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    Q = amalgamate(model, max_states=max_states)
-    q_exit = -np.diag(Q)
-    A = alpha * np.eye(Q.shape[0]) - Q
-    return np.linalg.solve(A, q_exit)
+    Q = intensity_matrix(model, max_states=max_states)
+    q = -Q.diagonal()
+    n = q.size
+    A = (alpha * sp.identity(n, format="csr") - Q).tocsr()
+    # row i of A is alpha * e_i where q_i = 0, so V_i = 0 there; the mask
+    # below keeps it exactly 0 whatever the Krylov solver leaves in it
+    live = q > 0
+    V = np.zeros(n)
+    if not live.any():
+        return V
+    jacobi = sp.diags(1.0 / A.diagonal())
+    abs_A = abs(A)
+    residual = q
+    for _ in range(MAX_REFINEMENTS):
+        step, _info = bicgstab(A, residual, rtol=1e-12, atol=0.0, M=jacobi)
+        V += np.where(live, step, 0.0)
+        residual = q - A @ V
+        error = np.max(np.abs(residual[live]) / (abs_A @ np.abs(V) + q)[live])
+        if error <= BACKWARD_ERROR_TOL:
+            return V
+    raise ValueError(
+        f"EDNT solve reached componentwise backward error {error:.3g} after "
+        f"{MAX_REFINEMENTS} refinement steps, above {BACKWARD_ERROR_TOL:g}")
 
 
 # -- REDNT and ranking -------------------------------------------------------------
@@ -266,40 +292,32 @@ def rednt(ednt: EdntTable | np.ndarray | Sequence[float],
     neighborhood is covered are ranked.
     """
     if isinstance(ednt, EdntTable):
-        values = ednt.as_dict()
+        by_index = np.argsort(ednt.state_indices, kind="stable")
+        indices = ednt.state_indices[by_index]
+        values = ednt.estimates[by_index]
     else:
-        arr = np.asarray(ednt, dtype=float)
-        if arr.shape != (gs.node_count,):
-            raise ValueError(f"expected {gs.node_count} EDNT values, got {arr.shape}")
-        values = dict(enumerate(arr.tolist()))
+        values = np.asarray(ednt, dtype=float)
+        if values.shape != (gs.node_count,):
+            raise ValueError(f"expected {gs.node_count} EDNT values, got {values.shape}")
+        indices = np.arange(gs.node_count)
 
-    out_idx: list[int] = []
-    out_val: list[float] = []
-    flags: dict[int, str] = {}
-    for idx in sorted(values):
-        own = values[idx]
-        neighborhood = gs.neighbors(idx)
-        if any(nb not in values for nb in neighborhood):
-            continue  # partial table: neighborhood not fully estimated
-        if own < 0:
-            raise ValueError(f"negative EDNT at state {idx}")
-        if own == 0.0:
-            best = 1.0
-            flags[idx] = "zero-ednt"
-        else:
-            best = 1.0  # self-inclusion
-            for nb in neighborhood:
-                other = values[nb]
-                if other == 0.0:
-                    best = math.inf
-                    flags[idx] = "infinite"
-                    break
-                ratio = own / other
-                if ratio > best:
-                    best = ratio
-        out_idx.append(idx)
-        out_val.append(best)
-    return RedntRanking(gs, np.array(out_idx), np.array(out_val), flags)
+    # position of every neighbor in `indices`; a partial table may miss some
+    neighbors = gs.neighbor_table(indices)
+    pos = np.searchsorted(indices, neighbors)
+    covered = (np.append(indices, -1)[pos] == neighbors).all(axis=1)
+    indices, own, other = indices[covered], values[covered], values[pos[covered]]
+
+    negative = np.flatnonzero(own < 0)
+    if negative.size:
+        raise ValueError(f"negative EDNT at state {indices[negative[0]]}")
+    zero = own == 0.0
+    infinite = (other == 0.0).any(axis=1)  # flagged only where `zero` is not
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.max(own[:, None] / other, axis=1, initial=1.0)  # self-inclusion floors at 1
+    flagged = zero | infinite
+    labels = np.where(zero, "zero-ednt", "infinite")
+    flags = dict(zip(indices[flagged].tolist(), labels[flagged].tolist()))
+    return RedntRanking(gs, indices, np.where(zero, 1.0, ratio), flags)
 
 
 def rank_sentry_states(ranking: RedntRanking, max_active: int) -> list[tuple[int, ...]]:
@@ -382,6 +400,7 @@ def write_sentry_report(path, model: CtbnModel, ednt: EdntTable | np.ndarray,
         values = dict(enumerate(arr.tolist()))
         errors = {i: 0.0 for i in values}
     gs = ranking.graph
+    relative = dict(zip(ranking.state_indices.tolist(), ranking.values.tolist()))
     fmt = "{:.17g}".format
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -390,4 +409,4 @@ def write_sentry_report(path, model: CtbnModel, ednt: EdntTable | np.ndarray,
             state = gs.state_of(idx)
             bits = "".join(str(v) for v in state)
             w.writerow([bits, fmt(values[idx]), fmt(errors[idx]),
-                        fmt(ranking.value_of(idx)), active_alarm_count(state)])
+                        fmt(relative[idx]), active_alarm_count(state)])

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -44,9 +45,19 @@ def zero_rate_model(n=1):
     return CtbnModel(procs, cims, initial_state=(0,) * n)
 
 
+def independent_togglers(rates_up, rates_down) -> CtbnModel:
+    """Parentless binary processes; process j toggles at rates_up[j] / rates_down[j]."""
+    procs = tuple(ProcessSpec(f"T{j:02d}", 2) for j in range(len(rates_up)))
+    cims = tuple(Cim([[[-u, u], [d, -d]]]) for u, d in zip(rates_up, rates_down))
+    return CtbnModel(procs, cims, initial_state=(0,) * len(procs))
+
+
 def make_random_model(rng: random.Random, max_states=16, max_parents=2,
-                      rate_lo=0.1, rate_hi=1.5) -> CtbnModel:
-    """A random valid model with at most `max_states` joint states."""
+                      rate_lo=0.1, rate_hi=1.5, log_rates=False) -> CtbnModel:
+    """A random valid model with at most `max_states` joint states.
+
+    Rates are uniform on [rate_lo, rate_hi], or log-uniform with `log_rates`.
+    """
     cards = []
     while True:
         card = rng.choice((2, 2, 3))
@@ -79,7 +90,9 @@ def make_random_model(rng: random.Random, max_states=16, max_parents=2,
             for r in range(cards[j]):
                 for c in range(cards[j]):
                     if c != r:
-                        mats[cfg, r, c] = rng.uniform(rate_lo, rate_hi)
+                        mats[cfg, r, c] = (
+                            math.exp(rng.uniform(math.log(rate_lo), math.log(rate_hi)))
+                            if log_rates else rng.uniform(rate_lo, rate_hi))
                 mats[cfg, r, r] = -mats[cfg, r].sum()
         cims.append(Cim(mats))
     return CtbnModel(tuple(processes), tuple(cims), initial_state=(0,) * n)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctbn_sentry import (
@@ -116,15 +116,30 @@ def test_windows_disjoint_ordered_maximal(times, threshold, mcl):
 
 @settings(max_examples=40, deadline=None)
 @given(gap_lists(), st.floats(0.05, 1.5))
+# Boundary case: the last gap is 0.10000000000000009 as given but
+# 0.09999999999999964 after the shift, so only the shifted copy has a window.
+@example(times=[1.0, 1.0625, 1.1625], threshold=0.1)
 def test_windows_shift_invariant(times, threshold):
+    # A shift moves each gap by rounding error, so the strict `gap <
+    # threshold` test can flip for a gap that close to the threshold.  The
+    # property: windows agree when no gap is within rounding error of it, and
+    # a window found in only one copy spans or borders such a boundary gap.
     params = NaiveParams(threshold, 2)
     a = traj_from_times(times, t_end=(times[-1] + 1) if times else 1.0)
     shifted = [t + 7.5 for t in times]
     b = traj_from_times(shifted, t_end=(shifted[-1] + 1) if shifted else 9.0)
-    wa = identify_cascades(a, params)
-    wb = identify_cascades(b, params)
-    assert [(w.first_event_index, w.last_event_index, w.sentry_state) for w in wa] == \
-           [(w.first_event_index, w.last_event_index, w.sentry_state) for w in wb]
+    rounding = 4 * np.spacing(max(shifted, default=0.0))
+    boundary = ((np.abs(np.diff(a.times) - threshold) <= rounding)
+                | (np.abs(np.diff(b.times) - threshold) <= rounding))
+    wa = [(w.first_event_index, w.last_event_index, w.sentry_state)
+          for w in identify_cascades(a, params)]
+    wb = [(w.first_event_index, w.last_event_index, w.sentry_state)
+          for w in identify_cascades(b, params)]
+    if not boundary.any():
+        assert wa == wb
+    # gap i precedes event i + 1; window (f, l) depends on gaps f - 2 .. l
+    for first, last, _ in set(wa) ^ set(wb):
+        assert boundary[max(first - 2, 0):last + 1].any()
 
 
 # -- naive scores ----------------------------------------------------------------------

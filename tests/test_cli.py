@@ -124,6 +124,28 @@ def test_sentry_stopping_rule(chain3_path, tmp_path):
     assert len(lines) >= 2
 
 
+def test_sentry_exact_absorbing_state(tmp_path):
+    path = tmp_path / "absorbing.json"
+    path.write_text(json.dumps({
+        "processes": [{"name": "A", "cardinality": 2}, {"name": "B", "cardinality": 2}],
+        "cims": {"A": [[[-0.0, 0.0], [0.3201900409138983, -0.3201900409138983]]],
+                 "B": [[[-0.0, 0.0], [538.6076586395066, -538.6076586395066]]]},
+        "initial_state": [0, 0],
+    }))
+    out = tmp_path / "sentry.csv"
+    assert run(["sentry", str(path), "--exact", "--alpha", "0.2658", "--out", str(out)]) == 0
+    assert out.read_text().strip().splitlines()[-1] == "00,0,0,1,0"
+
+
+@pytest.mark.parametrize("command", [["sentry", "model.json", "--out", "s.csv"],
+                                     ["experiment", "chain3", "--out", "x"]])
+def test_negative_max_active_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(command + ["--max-active", "-1"])
+    assert exc.value.code == 2
+    assert "non-negative integer" in capsys.readouterr().err
+
+
 # -- cascades ----------------------------------------------------------------------
 
 

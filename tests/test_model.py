@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from ctbn_sentry import (
     Cim,
     CtbnModel,
+    DENSE_BYTES_CAP,
     DiGraph,
     InvalidModelError,
     ProcessSpec,
@@ -19,6 +21,7 @@ from ctbn_sentry import (
     build_state_space_graph,
     ctbn_graph,
     enumerate_states,
+    intensity_matrix,
     load_model,
     local_rate,
     model_from_json_dict,
@@ -32,7 +35,13 @@ from ctbn_sentry import (
     transient_distribution,
     validate_model,
 )
-from conftest import CHAIN3_A, make_random_model, toggler_model, zero_rate_model
+from conftest import (
+    CHAIN3_A,
+    independent_togglers,
+    make_random_model,
+    toggler_model,
+    zero_rate_model,
+)
 
 
 def binary3():
@@ -116,6 +125,20 @@ def test_initial_distribution_checks(chain3):
     both = CtbnModel(chain3.processes, chain3.cims, initial_state=(0, 0, 0),
                      initial_distribution=dist)
     assert any(v.code == "initial" for v in validate_model(both))
+
+
+@pytest.mark.parametrize("row0", [[np.nan, np.nan], [-np.inf, np.inf], [-1.0, np.inf]])
+def test_non_finite_rates_reported(row0):
+    bad = CtbnModel((ProcessSpec("X", 2),), (Cim([[row0, [1.0, -1.0]]]),),
+                    initial_state=(0,))
+    assert [v.code for v in validate_model(bad)] == ["non-finite"]
+    with pytest.raises(InvalidModelError):
+        intensity_matrix(bad)
+
+
+def test_non_finite_initial_distribution_reported(chain3):
+    bad = CtbnModel(chain3.processes, chain3.cims, initial_distribution=np.full(8, np.nan))
+    assert [v.code for v in validate_model(bad)] == ["non-finite"]
 
 
 def test_require_valid_raises():
@@ -222,6 +245,37 @@ def test_amalgamate_matches_local_rate_on_random_models():
         assert hot < 1e-9
 
 
+def _amalgamate_loop(model):
+    """Reference flattening: one Python pass over states, processes and targets."""
+    n = model.state_count
+    Q = np.zeros((n, n))
+    for i, x in enumerate(enumerate_states(model)):
+        for j in range(model.process_count):
+            row = local_rate(model, j, x)
+            for s in range(model.cardinalities[j]):
+                if s != x[j] and row[s] != 0.0:
+                    Q[i, i + (s - x[j]) * model.state_multipliers[j]] = row[s]
+        Q[i, i] = -Q[i].sum()
+    return Q
+
+
+def test_intensity_matrix_matches_loop_reference():
+    rng = random.Random(7)
+    for _ in range(8):
+        m = make_random_model(rng)
+        Q = intensity_matrix(m)
+        degree = sum(c - 1 for c in m.cardinalities)
+        assert Q.format == "csr"
+        assert Q.nnz == m.state_count * (1 + degree)
+        want = _amalgamate_loop(m)
+        got = Q.toarray()
+        off = ~np.eye(m.state_count, dtype=bool)
+        assert (got[off] == want[off]).all()  # rates are copied, not computed
+        # the diagonal is a sum in another order: equal up to float64 rounding
+        assert np.allclose(np.diag(got), np.diag(want), rtol=4 * np.finfo(float).eps, atol=0)
+        assert np.array_equal(amalgamate(m), got)
+
+
 def test_amalgamate_zero_between_distant_states():
     rng = random.Random(3)
     m = make_random_model(rng)
@@ -238,6 +292,20 @@ def test_amalgamate_cap():
     m = binary3()
     with pytest.raises(StateSpaceCapError):
         amalgamate(m, max_states=4)
+
+
+def test_amalgamate_byte_cap_checked_before_allocating():
+    # 2^16 states: a dense float64 matrix would take 32 GiB
+    m = independent_togglers([1.0] * 16, [2.0] * 16)
+    assert m.state_count ** 2 * 8 > DENSE_BYTES_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateSpaceCapError, match="34359738368 bytes"):
+            amalgamate(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_transient_distribution_rows():

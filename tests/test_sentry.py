@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 from ctbn_sentry import (
+    Cim,
+    CtbnModel,
     EdntTable,
+    ProcessSpec,
     RewardSpec,
     SimulationConfig,
+    amalgamate,
     build_state_space_graph,
     discounted_reward_mc,
     ednt_exact,
@@ -19,7 +23,7 @@ from ctbn_sentry import (
     stopping_rule_ednt,
     write_sentry_report,
 )
-from conftest import make_random_model, toggler_model, zero_rate_model
+from conftest import independent_togglers, make_random_model, toggler_model, zero_rate_model
 
 # Reference table for the chain3 rates: per-state discounted transition
 # counts and the relative values they must induce, frozen as a regression
@@ -124,8 +128,6 @@ def test_ednt_exact_monotone_in_alpha(chain3):
 def test_ednt_exact_scale_invariance():
     rng = random.Random(5)
     model = make_random_model(rng)
-    from ctbn_sentry import Cim, CtbnModel
-
     c = 3.7
     scaled = CtbnModel(
         model.processes,
@@ -135,6 +137,73 @@ def test_ednt_exact_scale_invariance():
     v1 = ednt_exact(model, 0.3)
     v2 = ednt_exact(scaled, 0.3 * c)
     assert np.allclose(v1, v2, atol=1e-10)
+
+
+def _dense_ednt(model, alpha):
+    Q = amalgamate(model)
+    return np.linalg.solve(alpha * np.eye(len(Q)) - Q, -np.diag(Q))
+
+
+@pytest.mark.parametrize("stiff", [False, True])
+def test_ednt_exact_matches_dense_solve_on_random_models(stiff):
+    rng = random.Random(41)
+    for _ in range(30):
+        if stiff:
+            model = make_random_model(rng, max_states=64, rate_lo=1e-3, rate_hi=1e3,
+                                      log_rates=True)
+            alpha = 10 ** rng.uniform(-3, 1)
+        else:
+            model = make_random_model(rng, max_states=64)
+            alpha = rng.uniform(0.05, 2.0)
+        want = _dense_ednt(model, alpha)
+        got = ednt_exact(model, alpha)
+        assert (np.abs(got - want) <= 1e-9 * np.abs(want)).all()
+
+
+def test_ednt_exact_independent_togglers_closed_form():
+    # 2^16 states, no dense oracle: transition counts of independent
+    # processes add, so V(x) = sum_j v_j(x_j) with the two-state values
+    # v(0) = u (alpha + 2d) / (alpha (alpha + u + d)) and v(1) likewise
+    up = np.linspace(0.2, 3.0, 16)
+    down = np.linspace(4.0, 0.5, 16)
+    alpha = 0.3
+    model = independent_togglers(up.tolist(), down.tolist())
+    got = ednt_exact(model, alpha)
+    total = alpha * (alpha + up + down)
+    v0 = up * (alpha + 2 * down) / total
+    v1 = down * (alpha + 2 * up) / total
+    bits = (np.arange(2 ** 16)[:, None] >> np.arange(15, -1, -1)[None, :]) & 1
+    want = np.where(bits == 1, v1, v0).sum(axis=1)
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_ednt_exact_absorbing_state_is_exactly_zero():
+    # state 00 is absorbing.  A dense LU solve leaves rounding noise in
+    # V[00] whose sign depends on the BLAS: -1.4e-18 made REDNT reject it as
+    # a negative EDNT, +1.1e-16 gave its neighbors ratios near 1e16 in place
+    # of the 'infinite' flag.
+    model = CtbnModel(
+        (ProcessSpec("A", 2), ProcessSpec("B", 2)),
+        (Cim([[[-0.0, 0.0], [0.3201900409138983, -0.3201900409138983]]]),
+         Cim([[[-0.0, 0.0], [538.6076586395066, -538.6076586395066]]])),
+        initial_state=(0, 0),
+    )
+    alpha = 0.2658
+    values = ednt_exact(model, alpha)
+    assert values[0] == 0.0
+    assert values[1] == pytest.approx(538.6076586395066 / (alpha + 538.6076586395066), rel=1e-14)
+    assert values[2] == pytest.approx(0.3201900409138983 / (alpha + 0.3201900409138983),
+                                      rel=1e-14)
+    ranking = rednt(values, build_state_space_graph(model))
+    assert ranking.flags == {0: "zero-ednt", 1: "infinite", 2: "infinite"}
+
+
+def test_ednt_exact_reports_unconverged_solve(monkeypatch):
+    import ctbn_sentry.sentry as sentry_mod
+
+    monkeypatch.setattr(sentry_mod, "BACKWARD_ERROR_TOL", -1.0)  # unreachable
+    with pytest.raises(ValueError, match="backward error .* after 8 refinement steps"):
+        ednt_exact(toggler_model(2.0), 0.5)
 
 
 def test_mc_agrees_with_exact_on_random_model():
@@ -222,6 +291,66 @@ def test_rednt_partial_table_covers_filtered_states(chain3):
     full = rednt(exact, gs)
     for idx in (0, 1, 2, 4):
         assert ranking.value_of(idx) == pytest.approx(full.value_of(idx), abs=1e-12)
+
+
+def _rednt_loop(ednt, gs):
+    """Reference REDNT: one Python pass over states and their neighbors."""
+    if isinstance(ednt, EdntTable):
+        values = ednt.as_dict()
+    else:
+        values = dict(enumerate(np.asarray(ednt, dtype=float).tolist()))
+    out, flags = {}, {}
+    for idx in sorted(values):
+        own = values[idx]
+        neighborhood = gs.neighbors(idx)
+        if any(nb not in values for nb in neighborhood):
+            continue
+        if own < 0:
+            raise ValueError(f"negative EDNT at state {idx}")
+        best = 1.0
+        if own == 0.0:
+            flags[idx] = "zero-ednt"
+        else:
+            for nb in neighborhood:
+                if values[nb] == 0.0:
+                    best = math.inf
+                    flags[idx] = "infinite"
+                    break
+                best = max(best, own / values[nb])
+        out[idx] = best
+    return out, flags
+
+
+def test_rednt_matches_loop_reference():
+    rng = random.Random(19)
+    for trial in range(40):
+        model = make_random_model(rng, max_states=48)
+        gs = build_state_space_graph(model)
+        n = model.state_count
+        values = np.array([rng.choice((0.0, rng.uniform(0.1, 5.0))) if trial % 3 == 0
+                           else rng.uniform(0.1, 5.0) for _ in range(n)])
+        if trial % 2:
+            keep = sorted(rng.sample(range(n), rng.randint(0, n)))
+            rng.shuffle(keep)
+            ednt = EdntTable(np.array(keep, dtype=int), values[keep],
+                             np.zeros(len(keep)), np.zeros(len(keep)))
+        else:
+            ednt = values
+        want, want_flags = _rednt_loop(ednt, gs)
+        ranking = rednt(ednt, gs)
+        assert ranking.state_indices.tolist() == sorted(want)
+        assert ranking.values.tolist() == [want[i] for i in sorted(want)]
+        assert ranking.flags == want_flags
+        assert ranking.order == sorted(want, key=lambda i: (-want[i], i))
+
+
+def test_rednt_rejects_negative_covered_state():
+    gs = build_state_space_graph(toggler_model())
+    with pytest.raises(ValueError, match="negative EDNT at state 1"):
+        rednt(np.array([1.0, -1e-18]), gs)
+    # a state whose neighborhood is not covered is skipped, not checked
+    table = EdntTable(np.array([1]), np.array([-1.0]), np.zeros(1), np.zeros(1))
+    assert len(rednt(table, gs).state_indices) == 0
 
 
 # -- ranking -----------------------------------------------------------------------
