@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,10 +21,12 @@ from .model import (
     CtbnModel,
     active_alarm_count,
     build_state_space_graph,
+    low_activity_states,
+    state_from_index,
     state_index,
 )
-from .sentry import ednt_exact, ednt_mc, rank_sentry_states, rednt
-from .simulate import SimulationConfig, Trajectory, sample_ensemble
+from .sentry import RedntRanking, ednt_exact, rank_sentry_states, rednt
+from .simulate import SimulationConfig, Trajectory, format_float, sample_ensemble
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,9 @@ def jaccard_at_k(ranking_a: Sequence, ranking_b: Sequence, k: int) -> float:
 
 @dataclass(frozen=True)
 class ComparisonResult:
-    """Jaccard@k between the REDNT ranking and the naive-score ranking."""
+    """The analysis of one model: exact EDNT, its REDNT ranking, and the
+    Jaccard@k between the REDNT and naive-score rankings of the low-activity
+    states."""
 
     jaccard: tuple[tuple[int, float], ...]
     rednt_ranking: tuple[tuple[int, ...], ...]
@@ -208,6 +211,8 @@ class ComparisonResult:
     fast_threshold: float
     max_active: int
     scores: NaiveScores
+    ednt: np.ndarray
+    ranking: RedntRanking
 
 
 def compare_rednt_vs_naive(
@@ -217,32 +222,26 @@ def compare_rednt_vs_naive(
     k_range: Iterable[int] | None = None,
     alpha: float = 0.1,
     min_cascade_length: int = 2,
-    exact_cap: int = 4096,
     trajectories: Sequence[Trajectory] | None = None,
+    max_active: int | None = None,
 ) -> ComparisonResult:
-    """Rank sentry candidates by REDNT and by the naive score, then compare.
+    """Solve EDNT exactly, rank by REDNT and by the naive score, then compare.
 
-    Both rankings are restricted to states whose active-alarm count is at
-    most the size of the model's largest parent set.  ``params=None``
-    selects the fast threshold automatically as the pooled median gap of the
-    sampled ensemble; ``k_range=None`` evaluates every k up to the full
-    ranking length.  The naive list orders by score descending with count
-    and then state index as tiebreaks.  A pre-sampled ensemble can be passed
-    to avoid re-simulation; by default one is drawn from `config`.
+    Both rankings are restricted to states with at most ``max_active``
+    active alarms; ``None`` takes the size of the model's largest parent
+    set.  ``params=None`` selects the fast threshold automatically as the
+    pooled median gap of the sampled ensemble; ``k_range=None`` evaluates
+    every k up to the full ranking length.  The naive list orders by score
+    descending with count and then state index as tiebreaks.  A pre-sampled
+    ensemble can be passed to avoid re-simulation; by default one is drawn
+    from `config`.
     """
-    max_active = max((len(p.parents) for p in model.processes), default=0)
+    if max_active is None:
+        max_active = max((len(p.parents) for p in model.processes), default=0)
     gs = build_state_space_graph(model)
-    filtered = _low_activity_states(model, max_active)
-    filtered_idx = [state_index(s, model) for s in filtered]
-
-    if model.state_count <= exact_cap:
-        ranking = rednt(ednt_exact(model, alpha), gs)
-    else:
-        wanted = set(filtered_idx)
-        for idx in filtered_idx:
-            wanted.update(gs.neighbors(idx))
-        table = ednt_mc(model, alpha, config, states=sorted(wanted))
-        ranking = rednt(table, gs)
+    filtered = [state_from_index(i, model) for i in low_activity_states(model, max_active)]
+    ednt = ednt_exact(model, alpha)
+    ranking = rednt(ednt, gs)
     rednt_list = rank_sentry_states(ranking, max_active)
 
     if trajectories is None:
@@ -265,21 +264,9 @@ def compare_rednt_vs_naive(
         fast_threshold=params.fast_threshold,
         max_active=max_active,
         scores=scores,
+        ednt=ednt,
+        ranking=ranking,
     )
-
-
-def _low_activity_states(model: CtbnModel, max_active: int) -> list[tuple[int, ...]]:
-    if any(c != 2 for c in model.cardinalities):
-        raise ValueError("active-alarm filtering requires binary processes")
-    n = model.process_count
-    out = []
-    for k in range(max_active + 1):
-        for on in combinations(range(n), k):
-            state = [0] * n
-            for j in on:
-                state[j] = 1
-            out.append(tuple(state))
-    return sorted(out, key=lambda s: state_index(s, model))
 
 
 # -- reports -------------------------------------------------------------------
@@ -288,7 +275,6 @@ def _low_activity_states(model: CtbnModel, max_active: int) -> list[tuple[int, .
 def write_cascade_report(path, trajectories: Iterable[Trajectory],
                          params: NaiveParams) -> None:
     """CSV of every cascade window: trajectory, time span, length, sentry state."""
-    fmt = "{:.17g}".format
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["trajectory_id", "start_time", "end_time", "length",
@@ -298,8 +284,8 @@ def write_cascade_report(path, trajectories: Iterable[Trajectory],
                 bits = "".join(str(v) for v in win.sentry_state)
                 w.writerow([
                     tid,
-                    fmt(float(traj.times[win.first_event_index])),
-                    fmt(float(traj.times[win.last_event_index])),
+                    format_float(float(traj.times[win.first_event_index])),
+                    format_float(float(traj.times[win.last_event_index])),
                     win.length,
                     bits,
                 ])
@@ -307,7 +293,6 @@ def write_cascade_report(path, trajectories: Iterable[Trajectory],
 
 def write_naive_scores_report(path, scores: NaiveScores) -> None:
     """CSV of per-state naive counts and scores, best score first."""
-    fmt = "{:.17g}".format
     states = sorted(
         set(scores.visits) | set(scores.counts),
         key=lambda s: (-scores.score(s), -scores.count(s), s),
@@ -318,14 +303,13 @@ def write_naive_scores_report(path, scores: NaiveScores) -> None:
                     "active_alarms"])
         for state in states:
             bits = "".join(str(v) for v in state)
-            w.writerow([bits, scores.count(state), fmt(scores.score(state)),
+            w.writerow([bits, scores.count(state), format_float(scores.score(state)),
                         scores.visits.get(state, 0), active_alarm_count(state)])
 
 
 def write_comparison_report(path, result: ComparisonResult) -> None:
-    fmt = "{:.17g}".format
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "jaccard"])
         for k, j in result.jaccard:
-            w.writerow([k, fmt(j)])
+            w.writerow([k, format_float(j)])

@@ -132,24 +132,25 @@ def cmd_sentry(args) -> int:
 
     if args.exact:
         ednt = _sentry.ednt_exact(model, args.alpha)
-    elif args.epsilon is not None:
-        states = _requested_states(model, gs, args.max_active)
-        results = [
-            _sentry.stopping_rule_ednt(
-                model, _model.state_from_index(idx, model), args.alpha, args.t_end,
-                args.epsilon, cap=args.trajectories,
-                seed=_sim.derive_seed(args.seed, idx))
-            for idx in states
-        ]
-        ednt = _sentry.EdntTable(
-            np.array(states),
-            np.array([r.estimate for r in results]),
-            np.array([r.stderr for r in results]),
-            np.array([r.trajectories_used for r in results]),
-        )
     else:
-        states = _requested_states(model, gs, args.max_active)
-        ednt = _sentry.ednt_mc(model, args.alpha, config, states=states)
+        states = (range(model.state_count) if args.max_active is None
+                  else _model.low_activity_states(model, args.max_active, neighbors=True))
+        if args.epsilon is None:
+            ednt = _sentry.ednt_mc(model, args.alpha, config, states=states)
+        else:
+            results = [
+                _sentry.stopping_rule_ednt(
+                    model, _model.state_from_index(idx, model), args.alpha, args.t_end,
+                    args.epsilon, cap=args.trajectories,
+                    seed=_sim.derive_seed(args.seed, idx))
+                for idx in states
+            ]
+            ednt = _sentry.EdntTable(
+                np.array(states),
+                np.array([r.estimate for r in results]),
+                np.array([r.stderr for r in results]),
+                np.array([r.trajectories_used for r in results]),
+            )
 
     ranking = _sentry.rednt(ednt, gs)
     if ranking.flags:
@@ -159,19 +160,6 @@ def cmd_sentry(args) -> int:
     _sentry.write_sentry_report(args.out, model, ednt, ranking)
     print(f"wrote sentry report to {args.out}")
     return EXIT_OK
-
-
-def _requested_states(model, gs, max_active) -> list[int]:
-    if max_active is None:
-        return list(range(model.state_count))
-    filtered = [
-        _model.state_index(s, model)
-        for s in _cascade._low_activity_states(model, max_active)
-    ]
-    wanted = set(filtered)
-    for idx in filtered:
-        wanted.update(gs.neighbors(idx))
-    return sorted(wanted)
 
 
 def cmd_cascades(args) -> int:

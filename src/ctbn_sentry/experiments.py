@@ -15,21 +15,14 @@ from pathlib import Path
 
 from .cascade import (
     NaiveParams,
-    _low_activity_states,
     compare_rednt_vs_naive,
     write_cascade_report,
     write_comparison_report,
     write_naive_scores_report,
 )
 from .graphs import DiGraph
-from .model import (
-    CtbnModel,
-    build_replicator_ctbn,
-    build_state_space_graph,
-    save_model,
-    state_index,
-)
-from .sentry import ednt_exact, ednt_mc, rednt, write_sentry_report
+from .model import CtbnModel, build_replicator_ctbn, save_model
+from .sentry import write_sentry_report
 from .simulate import SimulationConfig, derive_seed, sample_ensemble, write_ensemble_csv
 
 DEFAULT_SEED = 20210611
@@ -135,15 +128,16 @@ def experiment_spec(name: str, **overrides) -> ExperimentSpec:
     return replace(spec, **overrides) if overrides else spec
 
 
-def run_experiment(spec: ExperimentSpec, out_dir, exact_cap: int = 4096) -> dict[str, Path]:
+def run_experiment(spec: ExperimentSpec, out_dir) -> dict[str, Path]:
     """Produce the full report bundle for one experiment.
 
     Writes model.json, a small display ensemble (trajectories.csv) with its
     cascade windows (cascades.csv), the EDNT/REDNT report (sentry.csv), the
     naive baseline over the analysis ensemble (naive_scores.csv), the
     REDNT-vs-naive comparison (comparison.csv), and a manifest of resolved
-    parameters.  Deterministic for a fixed spec: identical runs produce
-    byte-identical files.
+    parameters.  Both rankings in the comparison are restricted to states
+    with at most ``spec.max_active`` active alarms.  Deterministic for a
+    fixed spec: identical runs produce byte-identical files.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -170,29 +164,16 @@ def run_experiment(spec: ExperimentSpec, out_dir, exact_cap: int = 4096) -> dict
         k_range=None,  # every k up to the full filtered ranking
         alpha=spec.alpha,
         min_cascade_length=spec.min_cascade_length,
-        exact_cap=exact_cap,
         trajectories=analysis,
+        max_active=spec.max_active,
     )
     params = NaiveParams(comparison.fast_threshold, spec.min_cascade_length)
 
     paths["cascades"] = out / "cascades.csv"
     write_cascade_report(paths["cascades"], display, params)
 
-    gs = build_state_space_graph(model)
-    if model.state_count <= exact_cap:
-        ednt = ednt_exact(model, spec.alpha)
-    else:
-        # beyond the solve cap, estimate only the low-activity states and
-        # the neighborhoods their REDNT values need
-        wanted = set()
-        for state in _low_activity_states(model, spec.max_active):
-            idx = state_index(state, model)
-            wanted.add(idx)
-            wanted.update(gs.neighbors(idx))
-        ednt = ednt_mc(model, spec.alpha, analysis_config, states=sorted(wanted))
-    ranking = rednt(ednt, gs)
     paths["sentry"] = out / "sentry.csv"
-    write_sentry_report(paths["sentry"], model, ednt, ranking)
+    write_sentry_report(paths["sentry"], model, comparison.ednt, comparison.ranking)
 
     paths["naive_scores"] = out / "naive_scores.csv"
     write_naive_scores_report(paths["naive_scores"], comparison.scores)

@@ -153,10 +153,7 @@ class CtbnModel:
     @cached_property
     def state_multipliers(self) -> tuple[int, ...]:
         """Mixed-radix place values; first process most significant."""
-        mults = [1] * self.process_count
-        for j in range(self.process_count - 2, -1, -1):
-            mults[j] = mults[j + 1] * self.cardinalities[j + 1]
-        return tuple(mults)
+        return _place_values(self.cardinalities)
 
     @cached_property
     def parent_indices(self) -> tuple[tuple[int, ...], ...]:
@@ -168,14 +165,8 @@ class CtbnModel:
     @cached_property
     def parent_multipliers(self) -> tuple[tuple[int, ...], ...]:
         """Place values for parent configurations, first parent most significant."""
-        out = []
-        for j, p in enumerate(self.processes):
-            cards = [self.cardinalities[i] for i in self.parent_indices[j]]
-            mults = [1] * len(cards)
-            for k in range(len(cards) - 2, -1, -1):
-                mults[k] = mults[k + 1] * cards[k + 1]
-            out.append(tuple(mults))
-        return tuple(out)
+        return tuple(_place_values([self.cardinalities[i] for i in parents])
+                     for parents in self.parent_indices)
 
     @cached_property
     def children_indices(self) -> tuple[tuple[int, ...], ...]:
@@ -190,11 +181,16 @@ class CtbnModel:
             return self.name_to_index[process]
         return int(process)
 
-    def point_initial_state(self) -> tuple[int, ...] | None:
-        return self.initial_state
-
 
 # -- state indexing --------------------------------------------------------
+
+
+def _place_values(cardinalities: Sequence[int]) -> tuple[int, ...]:
+    """Mixed-radix place values, first digit most significant."""
+    mults = [1] * len(cardinalities)
+    for j in range(len(cardinalities) - 2, -1, -1):
+        mults[j] = mults[j + 1] * cardinalities[j + 1]
+    return tuple(mults)
 
 
 def state_index(state: Sequence[int], model: CtbnModel) -> int:
@@ -211,15 +207,17 @@ def state_index(state: Sequence[int], model: CtbnModel) -> int:
     return idx
 
 
-def state_from_index(index: int, model: CtbnModel) -> tuple[int, ...]:
-    """Inverse of :func:`state_index`."""
-    if not 0 <= index < model.state_count:
+def state_from_index(index: int, model: CtbnModel | StateSpaceGraph) -> tuple[int, ...]:
+    """Inverse of :func:`state_index`; only ``model.cardinalities`` is read,
+    so a :class:`StateSpaceGraph` serves as well."""
+    rest = index
+    digits = []
+    for c in reversed(model.cardinalities):  # least significant digit first
+        rest, v = divmod(rest, c)
+        digits.append(v)
+    if rest:  # index >= state count leaves a positive rest, index < 0 a negative one
         raise ValueError(f"state index {index} out of range")
-    values = []
-    for m, c in zip(model.state_multipliers, model.cardinalities):
-        v, index = divmod(index, m)
-        values.append(v)
-    return tuple(values)
+    return tuple(reversed(digits))
 
 
 def enumerate_states(model: CtbnModel) -> Iterator[tuple[int, ...]]:
@@ -230,6 +228,27 @@ def enumerate_states(model: CtbnModel) -> Iterator[tuple[int, ...]]:
 def active_alarm_count(state: Sequence[int]) -> int:
     """Number of non-zero local states (number of alarms that are on)."""
     return int(sum(1 for v in state if v))
+
+
+def low_activity_states(model: CtbnModel | StateSpaceGraph, max_active: int,
+                        neighbors: bool = False) -> list[int]:
+    """Indices of the states with at most `max_active` active alarms, ascending.
+
+    With ``neighbors`` their state-space neighbors are included too: the
+    states whose EDNT the REDNT of the low-activity states needs.  Requires
+    binary processes; only ``model.cardinalities`` is read.
+    """
+    cards = model.cardinalities
+    if any(c != 2 for c in cards):
+        raise ValueError("active-alarm filtering requires binary processes")
+    mults = _place_values(cards)
+    low = np.array(sorted(
+        sum(mults[j] for j in on)
+        for k in range(max_active + 1)
+        for on in itertools.combinations(range(len(cards)), k)), dtype=np.int64)
+    if neighbors:
+        low = np.union1d(low, StateSpaceGraph(cards).neighbor_table(low))
+    return low.tolist()
 
 
 # -- validation -------------------------------------------------------------
@@ -454,10 +473,7 @@ class StateSpaceGraph:
 
     @cached_property
     def multipliers(self) -> tuple[int, ...]:
-        mults = [1] * len(self.cardinalities)
-        for j in range(len(self.cardinalities) - 2, -1, -1):
-            mults[j] = mults[j + 1] * self.cardinalities[j + 1]
-        return tuple(mults)
+        return _place_values(self.cardinalities)
 
     @property
     def node_count(self) -> int:
@@ -471,14 +487,7 @@ class StateSpaceGraph:
         return sum(c - 1 for c in self.cardinalities)
 
     def state_of(self, index: int) -> tuple[int, ...]:
-        values = []
-        for m in self.multipliers:
-            v, index = divmod(index, m)
-            values.append(v)
-        return tuple(values)
-
-    def index_of(self, state: Sequence[int]) -> int:
-        return sum(int(v) * m for v, m in zip(state, self.multipliers))
+        return state_from_index(index, self)
 
     def neighbor_table(self, indices) -> np.ndarray:
         """Neighbors of many states at once: shape ``indices.shape + (degree,)``.
@@ -499,9 +508,6 @@ class StateSpaceGraph:
     def neighbors(self, index: int) -> list[int]:
         """Indices of all states differing from `index` in exactly one process."""
         return self.neighbor_table(index).tolist()
-
-    def is_adjacent(self, i: int, j: int) -> bool:
-        return i != j and j in self.neighbors(i)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for i in range(self.node_count):

@@ -28,10 +28,12 @@ from .model import (
     StateSpaceGraph,
     active_alarm_count,
     intensity_matrix,
+    low_activity_states,
     require_valid,
+    state_from_index,
     state_index,
 )
-from .simulate import SimulationConfig, _compile, _run_events, derive_seed
+from .simulate import SimulationConfig, _compile, _run_events, derive_seed, format_float
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 BACKWARD_ERROR_TOL = 1e-14  # componentwise backward error the exact solve must reach
@@ -122,15 +124,28 @@ class RedntRanking:
 # -- Monte Carlo discounted rewards ---------------------------------------------
 
 
-def _transition_count_score(tables, initial: list[int], t_end: float, alpha: float,
-                            rng) -> float:
-    """Discounted transition count of one sampled trajectory (lump sum 1)."""
-    events = _run_events(tables, initial, t_end, rng)
+def _discounted_scores(tables, initial: Sequence[int], t_end: float, alpha: float,
+                       seeds: Iterable[int], reward: RewardSpec | None = None) -> np.ndarray:
+    """One score per seed, each from a fresh trajectory out of `initial`.
+
+    A trajectory scores its discounted transition count, or the discounted
+    `reward` when that is not the counting one.  The seed of each trajectory
+    is the caller's, so each estimator keeps its own stream contract.
+    """
+    general = reward is not None and not reward.counts_transitions
     exp = math.exp
-    total = 0.0
-    for t, _, _ in events:
-        total += exp(-alpha * t)
-    return total
+    scores = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        values = [int(v) for v in initial]
+        if general:
+            total = _general_score(tables, values, t_end, reward, rng)
+        else:
+            total = 0.0
+            for t, _, _ in _run_events(tables, values, t_end, rng):
+                total += exp(-alpha * t)
+        scores.append(total)
+    return np.array(scores, dtype=float)
 
 
 def _general_score(tables, values: list[int], t_end: float, reward: RewardSpec,
@@ -167,16 +182,9 @@ def discounted_reward_mc(model: CtbnModel, initial: Sequence[int], reward: Rewar
     at the horizon.
     """
     require_valid(model)
-    tables = _compile(model)
-    alpha = reward.discount
-    scores = np.empty(config.trajectory_count)
-    for k in range(config.trajectory_count):
-        rng = random.Random(derive_seed(config.master_seed, k))
-        values = [int(v) for v in initial]
-        if reward.counts_transitions:
-            scores[k] = _transition_count_score(tables, values, config.t_end, alpha, rng)
-        else:
-            scores[k] = _general_score(tables, values, config.t_end, reward, rng)
+    seeds = (derive_seed(config.master_seed, k) for k in range(config.trajectory_count))
+    scores = _discounted_scores(_compile(model), initial, config.t_end, reward.discount,
+                                seeds, reward)
     return float(scores.mean()), _stderr(scores)
 
 
@@ -208,31 +216,16 @@ def ednt_mc(model: CtbnModel, alpha: float, config: SimulationConfig,
         })
     tables = _compile(model)
     n = config.trajectory_count
-    cards = model.cardinalities
 
     estimates = np.empty(len(indices))
     stderrs = np.empty(len(indices))
     for row, idx in enumerate(indices):
-        values0 = []
-        rem = idx
-        for m in _multipliers(cards):
-            v, rem = divmod(rem, m)
-            values0.append(v)
-        scores = np.empty(n)
-        for k in range(n):
-            rng = random.Random(derive_seed(config.master_seed, idx, k))
-            scores[k] = _transition_count_score(tables, list(values0), config.t_end,
-                                                alpha, rng)
+        seeds = (derive_seed(config.master_seed, idx, k) for k in range(n))
+        scores = _discounted_scores(tables, state_from_index(idx, model), config.t_end,
+                                    alpha, seeds)
         estimates[row] = scores.mean()
         stderrs[row] = _stderr(scores)
     return EdntTable(np.array(indices), estimates, stderrs, np.full(len(indices), n))
-
-
-def _multipliers(cards: Sequence[int]) -> list[int]:
-    mults = [1] * len(cards)
-    for j in range(len(cards) - 2, -1, -1):
-        mults[j] = mults[j + 1] * cards[j + 1]
-    return mults
 
 
 # -- exact values ----------------------------------------------------------------
@@ -327,14 +320,8 @@ def rank_sentry_states(ranking: RedntRanking, max_active: int) -> list[tuple[int
     components in state 1).  Ties break toward the smaller state index.
     """
     gs = ranking.graph
-    if any(c != 2 for c in gs.cardinalities):
-        raise ValueError("active-alarm filtering requires binary processes")
-    out = []
-    for idx in ranking.order:
-        state = gs.state_of(idx)
-        if active_alarm_count(state) <= max_active:
-            out.append(state)
-    return out
+    low = set(low_activity_states(gs, max_active))
+    return [gs.state_of(idx) for idx in ranking.order if idx in low]
 
 
 # -- sequential stopping rule --------------------------------------------------------
@@ -364,22 +351,20 @@ def stopping_rule_ednt(model: CtbnModel, initial: Sequence[int], alpha: float,
         raise ValueError("batch and cap must be >= 1")
     require_valid(model)
     tables = _compile(model)
-    scores: list[float] = []
+    scores = np.empty(0)
     while True:
-        take = min(batch, cap - len(scores))
-        for k in range(take):
-            rng = random.Random(derive_seed(seed, len(scores)))
-            scores.append(_transition_count_score(tables, [int(v) for v in initial],
-                                                  t_end, alpha, rng))
-        arr = np.asarray(scores)
-        est = float(arr.mean())
-        se = _stderr(arr)
+        done = scores.size
+        seeds = (derive_seed(seed, n) for n in range(done, min(done + batch, cap)))
+        scores = np.concatenate(
+            (scores, _discounted_scores(tables, initial, t_end, alpha, seeds)))
+        est = float(scores.mean())
+        se = _stderr(scores)
         half = Z_95 * se
         criterion = half / abs(est) if est != 0.0 else half
         if criterion < relative_halfwidth:
-            return StoppingResult(est, se, len(scores), "halfwidth")
-        if len(scores) >= cap:
-            return StoppingResult(est, se, len(scores), "cap")
+            return StoppingResult(est, se, scores.size, "halfwidth")
+        if scores.size >= cap:
+            return StoppingResult(est, se, scores.size, "cap")
 
 
 # -- report ------------------------------------------------------------------------
@@ -401,12 +386,11 @@ def write_sentry_report(path, model: CtbnModel, ednt: EdntTable | np.ndarray,
         errors = {i: 0.0 for i in values}
     gs = ranking.graph
     relative = dict(zip(ranking.state_indices.tolist(), ranking.values.tolist()))
-    fmt = "{:.17g}".format
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["state_bits", "ednt", "ednt_stderr", "rednt", "active_alarms"])
         for idx in ranking.order:
             state = gs.state_of(idx)
             bits = "".join(str(v) for v in state)
-            w.writerow([bits, fmt(values[idx]), fmt(errors[idx]),
-                        fmt(relative[idx]), active_alarm_count(state)])
+            w.writerow([bits, format_float(values[idx]), format_float(errors[idx]),
+                        format_float(relative[idx]), active_alarm_count(state)])

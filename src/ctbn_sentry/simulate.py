@@ -298,7 +298,7 @@ def state_at(trajectory: Trajectory, t: float) -> tuple[int, ...]:
 
 # -- trajectory CSV ------------------------------------------------------------
 
-_FMT = "{:.17g}".format  # 17 significant digits round-trips float64 exactly
+format_float = "{:.17g}".format  # 17 significant digits round-trip float64 exactly
 
 
 def write_trajectory_csv(trajectory: Trajectory, path, process_names: Sequence[str]) -> None:
@@ -324,7 +324,7 @@ def _write_rows(w, trajectory: Trajectory, names: Sequence[str], prefix: tuple) 
         w.writerow([*prefix, "0.0", names[j], v])
     for t, p, s in zip(trajectory.times.tolist(), trajectory.processes.tolist(),
                        trajectory.new_states.tolist()):
-        w.writerow([*prefix, _FMT(t), names[p], s])
+        w.writerow([*prefix, format_float(t), names[p], s])
 
 
 def _rows_to_trajectory(rows: list[tuple[float, str, int]], name_order: list[str],

@@ -4,15 +4,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctbn_sentry import (
+    DiGraph,
     NaiveParams,
     SimulationConfig,
     Trajectory,
+    build_replicator_ctbn,
+    build_state_space_graph,
     compare_rednt_vs_naive,
     default_fast_threshold,
+    ednt_exact,
     experiment_spec,
     identify_cascades,
     jaccard_at_k,
     naive_scores,
+    rednt,
     sample_ensemble,
     write_cascade_report,
     write_naive_scores_report,
@@ -284,6 +289,33 @@ def test_six_process_top_state_agreement():
     assert max(counts, key=counts.get) == (0, 0, 1, 0, 0, 0)
     assert dict(result.jaccard)[1] == 1.0
     assert dict(result.jaccard)[2] == 1.0
+
+
+def test_pipeline_solves_exactly_past_old_cap():
+    # 8 192 states, above any dense-size limit: the pipeline's EDNT is the
+    # exact solve at every size up to the state cap
+    names = tuple(f"P{j:02d}" for j in range(13))
+    model = build_replicator_ctbn(DiGraph(names, tuple(zip(names[:-1], names[1:]))),
+                                  {names[0]}, (1.0, 5.0), 15.0, 0.1)
+    assert model.state_count == 8192
+    result = compare_rednt_vs_naive(model, SimulationConfig(2.0, 3, 1), None,
+                                    k_range=[1], alpha=2.0)
+    exact = ednt_exact(model, 2.0)
+    assert np.array_equal(result.ednt, exact)
+    assert np.array_equal(result.ranking.values,
+                          rednt(exact, build_state_space_graph(model)).values)
+    assert result.max_active == 1 and len(result.rednt_ranking) == 14
+
+
+def test_pipeline_filters_by_max_active(chain3):
+    config = SimulationConfig(30.0, 50, 5)
+    default = compare_rednt_vs_naive(chain3, config, None)
+    assert default.max_active == 1 and len(default.jaccard) == 4
+    for max_active, count in ((0, 1), (2, 7), (3, 8)):
+        result = compare_rednt_vs_naive(chain3, config, None, max_active=max_active)
+        assert result.max_active == max_active
+        assert len(result.rednt_ranking) == len(result.jaccard) == count
+        assert sorted(result.naive_ranking) == sorted(result.rednt_ranking)
 
 
 def test_explicit_params_respected(chain3):

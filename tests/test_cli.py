@@ -239,6 +239,18 @@ def test_experiment_bundle_and_config(tmp_path):
     assert sentry_lines[1].startswith("100,")
 
 
+@pytest.mark.parametrize("max_active, rows", [(0, 1), (2, 16)])
+def test_experiment_comparison_uses_max_active(tmp_path, max_active, rows):
+    out = tmp_path / "bundle"
+    assert run(["experiment", "chain5", "--max-active", str(max_active),
+                "--trajectories", "20", "--t-end", "20", "--display-trajectories", "1",
+                "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["max_active"] == max_active
+    lines = (out / "comparison.csv").read_text().strip().splitlines()
+    assert lines[0] == "k,jaccard"
+    assert [line.split(",")[0] for line in lines[1:]] == [str(k) for k in range(1, rows + 1)]
+
+
 def test_experiment_unknown_name(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["experiment", "nope", "--out", str(tmp_path / "x")])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import tracemalloc
@@ -21,9 +22,11 @@ from ctbn_sentry import (
     build_state_space_graph,
     ctbn_graph,
     enumerate_states,
+    experiment_spec,
     intensity_matrix,
     load_model,
     local_rate,
+    low_activity_states,
     model_from_json_dict,
     model_to_dot,
     model_to_json_dict,
@@ -167,6 +170,12 @@ def test_state_index_out_of_range():
         state_index((0, 2, 0), m)
     with pytest.raises(ValueError):
         state_index((0, 0), m)
+    gs = build_state_space_graph(m)
+    for index in (-1, 8, 1 << 40):
+        with pytest.raises(ValueError, match="out of range"):
+            state_from_index(index, m)
+        with pytest.raises(ValueError, match="out of range"):
+            gs.state_of(index)
 
 
 def test_enumerate_then_index_is_identity(chain3):
@@ -183,9 +192,11 @@ def test_index_bijection_random_cardinalities(cards):
         Cim(np.zeros((1, c, c))) for c in cards
     )
     m = CtbnModel(procs, cims, initial_state=(0,) * len(cards))
+    gs = build_state_space_graph(m)
     seen = set()
     for i, state in enumerate(enumerate_states(m)):
         assert state_index(state, m) == i
+        assert state_from_index(i, m) == gs.state_of(i) == state
         seen.add(state)
     assert len(seen) == m.state_count
 
@@ -359,6 +370,44 @@ def test_state_space_adjacency_matches_hamming():
         assert got == expected
         for k in got:
             assert i in gs.neighbors(k)  # symmetry
+
+
+def _low_activity_reference(model, max_active):
+    """The set-based loop the CLI used: states with at most `max_active` alarms
+    on, then the same set closed under one-process flips."""
+    n = model.process_count
+    low = []
+    for k in range(max_active + 1):
+        for on in itertools.combinations(range(n), k):
+            low.append(state_index([1 if j in on else 0 for j in range(n)], model))
+    wanted = set(low)
+    for idx in low:
+        state = state_from_index(idx, model)
+        for j in range(n):
+            flipped = list(state)
+            flipped[j] = 1 - flipped[j]
+            wanted.add(state_index(flipped, model))
+    return sorted(low), sorted(wanted)
+
+
+@pytest.mark.parametrize("name", ["chain5", "complex9"])
+def test_low_activity_states_match_set_reference(name):
+    model = experiment_spec(name).build_model()
+    gs = build_state_space_graph(model)
+    for max_active in range(model.process_count + 1):
+        low, wanted = _low_activity_reference(model, max_active)
+        assert low_activity_states(model, max_active) == low
+        assert low_activity_states(gs, max_active) == low
+        assert low_activity_states(model, max_active, neighbors=True) == wanted
+
+
+def test_low_activity_states_require_binary():
+    ternary = CtbnModel((ProcessSpec("X", 3),), (Cim(np.zeros((1, 3, 3))),),
+                        initial_state=(0,))
+    with pytest.raises(ValueError, match="binary"):
+        low_activity_states(ternary, 1)
+    with pytest.raises(ValueError, match="binary"):
+        low_activity_states(ternary, 1, neighbors=True)
 
 
 # -- replicator builder ---------------------------------------------------------------

@@ -426,6 +426,46 @@ def test_stopping_rule_validates_epsilon():
         stopping_rule_ednt(toggler_model(), (0,), 0.5, 10.0, 0.0)
 
 
+# -- pinned Monte Carlo streams ------------------------------------------------------
+# Values the three estimators gave while each ran its own trajectory loop.  They
+# share one loop now but keep their own seeding, derive_seed(master, k),
+# derive_seed(master, index, k) and derive_seed(seed, n), so the draws must not move.
+
+
+def test_ednt_mc_stream_pinned():
+    table = ednt_mc(toggler_model(2.0, 3.0), 0.5, SimulationConfig(4.0, 50, 7))
+    assert table.state_indices.tolist() == [0, 1]
+    assert table.estimates.tolist() == pytest.approx(
+        [4.209301159288154, 4.456286799725221], rel=1e-12)
+    assert table.stderrs.tolist() == pytest.approx(
+        [0.2288151805661466, 0.18706083145190788], rel=1e-12)
+    assert table.trajectory_counts.tolist() == [50, 50]
+
+
+@pytest.mark.parametrize("epsilon, batch, cap, expected", [
+    (0.05, 20, 2000, (4.502110241008017, 0.11302919528446248, 180, "halfwidth")),
+    (0.001, 30, 90, (4.660197435747496, 0.1609115067052456, 90, "cap")),
+])
+def test_stopping_rule_stream_pinned(epsilon, batch, cap, expected):
+    res = stopping_rule_ednt(toggler_model(2.0, 3.0), (1,), 0.5, 4.0, epsilon,
+                             batch=batch, cap=cap, seed=11)
+    estimate, stderr, used, stopped_by = expected
+    assert res.estimate == pytest.approx(estimate, rel=1e-12)
+    assert res.stderr == pytest.approx(stderr, rel=1e-12)
+    assert (res.trajectories_used, res.stopped_by) == (used, stopped_by)
+
+
+@pytest.mark.parametrize("reward, expected", [
+    (RewardSpec(0.3), (13.547199874560864, 0.793679457764885)),
+    (RewardSpec(0.3, lump_sum=lambda x, y: 1.0 + sum(y),
+                instantaneous=lambda x: 0.5 * x[2]),
+     (32.73196039693298, 2.2198742020416296)),
+], ids=["counting", "general"])
+def test_discounted_reward_mc_stream_pinned(chain3, reward, expected):
+    mean, se = discounted_reward_mc(chain3, (1, 0, 0), reward, SimulationConfig(6.0, 40, 3))
+    assert (mean, se) == pytest.approx(expected, rel=1e-12)
+
+
 # -- report ------------------------------------------------------------------------
 
 
