@@ -11,6 +11,7 @@ Count) and the fraction of its visits that did so (Naive Score).
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -78,22 +79,24 @@ def _fast_runs(times: np.ndarray, params: NaiveParams) -> list[tuple[int, int]]:
             if b - a + 1 >= params.min_cascade_length]
 
 
+def _states(trajectory: Trajectory) -> list[tuple[int, ...]]:
+    """The states a trajectory occupies, in order: entry i is the state just
+    before event i, and the last entry is the final state."""
+    values = list(trajectory.initial_state)
+    states = [tuple(values)]
+    for proc, new in zip(trajectory.processes.tolist(), trajectory.new_states.tolist()):
+        values[proc] = new
+        states.append(tuple(values))
+    return states
+
+
 def identify_cascades(trajectory: Trajectory, params: NaiveParams) -> list[CascadeWindow]:
     """All cascades of a trajectory, in time order (windows are disjoint)."""
     runs = _fast_runs(trajectory.times, params)
     if not runs:
         return []
-    procs = trajectory.processes.tolist()
-    states = trajectory.new_states.tolist()
-    values = list(trajectory.initial_state)
-    out = []
-    pos = 0
-    for a, b in runs:
-        while pos < a:  # replay up to (not including) the run's first event
-            values[procs[pos]] = states[pos]
-            pos += 1
-        out.append(CascadeWindow(a, b, tuple(values)))
-    return out
+    states = _states(trajectory)
+    return [CascadeWindow(a, b, states[a]) for a, b in runs]
 
 
 @dataclass
@@ -115,35 +118,22 @@ class NaiveScores:
         return self.counts.get(tuple(state), 0) / v
 
 
-def _accumulate(trajectory: Trajectory, params: NaiveParams, acc: NaiveScores) -> None:
-    values = list(trajectory.initial_state)
-    key = tuple(values)
-    visits = acc.visits
-    counts = acc.counts
-    visits[key] = visits.get(key, 0) + 1  # the initial state counts as an entry
-    runs = _fast_runs(trajectory.times, params)
-    starts = [a for a, _ in runs]
-    acc.total_cascades += len(starts)
-    procs = trajectory.processes.tolist()
-    states = trajectory.new_states.tolist()
-    w = 0
-    nw = len(starts)
-    for i in range(len(procs)):
-        if w < nw and i == starts[w]:
-            key = tuple(values)
-            counts[key] = counts.get(key, 0) + 1
-            w += 1
-        values[procs[i]] = states[i]
-        key = tuple(values)
-        visits[key] = visits.get(key, 0) + 1
-
-
 def naive_scores(trajectories: Iterable[Trajectory], params: NaiveParams) -> NaiveScores:
-    """Aggregate cascade starts and visits over a trajectory collection."""
-    acc = NaiveScores()
+    """Aggregate cascade starts and visits over a trajectory collection.
+
+    Every state a trajectory occupies counts as a visit, the initial one
+    included, so visits do not depend on the threshold.
+    """
+    counts = Counter()
+    visits = Counter()
+    total = 0
     for traj in trajectories:
-        _accumulate(traj, params, acc)
-    return acc
+        states = _states(traj)
+        visits.update(states)
+        launched = [states[a] for a, _ in _fast_runs(traj.times, params)]
+        counts.update(launched)
+        total += len(launched)
+    return NaiveScores(dict(counts), dict(visits), total)
 
 
 def default_fast_threshold(trajectories: Iterable[Trajectory]) -> float:
@@ -218,7 +208,7 @@ class ComparisonResult:
 def compare_rednt_vs_naive(
     model: CtbnModel,
     config: SimulationConfig,
-    params: NaiveParams | None,
+    fast_threshold: float | None,
     k_range: Iterable[int] | None = None,
     alpha: float = 0.1,
     min_cascade_length: int = 2,
@@ -229,12 +219,12 @@ def compare_rednt_vs_naive(
 
     Both rankings are restricted to states with at most ``max_active``
     active alarms; ``None`` takes the size of the model's largest parent
-    set.  ``params=None`` selects the fast threshold automatically as the
-    pooled median gap of the sampled ensemble; ``k_range=None`` evaluates
-    every k up to the full ranking length.  The naive list orders by score
-    descending with count and then state index as tiebreaks.  A pre-sampled
-    ensemble can be passed to avoid re-simulation; by default one is drawn
-    from `config`.
+    set.  ``fast_threshold=None`` selects the pooled median gap of the
+    ensemble; cascades need ``min_cascade_length`` fast events either way.
+    ``k_range=None`` evaluates every k up to the full ranking length.  The
+    naive list orders by score descending with count and then state index
+    as tiebreaks.  A pre-sampled ensemble can be passed to avoid
+    re-simulation; by default one is drawn from `config`.
     """
     if max_active is None:
         max_active = max((len(p.parents) for p in model.processes), default=0)
@@ -246,9 +236,9 @@ def compare_rednt_vs_naive(
 
     if trajectories is None:
         trajectories = sample_ensemble(model, None, config)
-    if params is None:
-        params = NaiveParams(default_fast_threshold(trajectories), min_cascade_length)
-    scores = naive_scores(trajectories, params)
+    if fast_threshold is None:
+        fast_threshold = default_fast_threshold(trajectories)
+    scores = naive_scores(trajectories, NaiveParams(fast_threshold, min_cascade_length))
     naive_list = sorted(
         filtered,
         key=lambda s: (-scores.score(s), -scores.count(s), state_index(s, model)),
@@ -261,7 +251,7 @@ def compare_rednt_vs_naive(
         jaccard=jac,
         rednt_ranking=tuple(rednt_list),
         naive_ranking=tuple(naive_list),
-        fast_threshold=params.fast_threshold,
+        fast_threshold=fast_threshold,
         max_active=max_active,
         scores=scores,
         ednt=ednt,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -174,27 +175,21 @@ def cmd_cascades(args) -> int:
         traj, _names = _sim.read_trajectory_csv(args.trajectories)
         trajectories = [traj]
 
-    if args.fast_threshold is not None:
-        threshold = args.fast_threshold
-    else:
+    threshold = args.fast_threshold
+    if threshold is None:
         try:
             threshold = _cascade.default_fast_threshold(trajectories)
         except ValueError:
-            threshold = None  # no gaps at all: reports stay empty
-    if threshold is None:
-        params = None
-        scores = _cascade.NaiveScores()
-    else:
-        params = _cascade.NaiveParams(threshold, args.min_length)
-        scores = _cascade.naive_scores(trajectories, params)
+            # no trajectory has two events, so there is no gap: no event is
+            # fast at any threshold, and the scores still count the visits
+            threshold = math.inf
+    if threshold < math.inf:
         print(f"fast threshold: {threshold:.6g}")
 
-    if params is not None:
-        _cascade.write_cascade_report(args.out_cascades, trajectories, params)
-    else:
-        with open(args.out_cascades, "w") as fh:
-            fh.write("trajectory_id,start_time,end_time,length,sentry_state_bits\n")
-    _cascade.write_naive_scores_report(args.out_scores, scores)
+    params = _cascade.NaiveParams(threshold, args.min_length)
+    _cascade.write_cascade_report(args.out_cascades, trajectories, params)
+    _cascade.write_naive_scores_report(args.out_scores,
+                                       _cascade.naive_scores(trajectories, params))
     print(f"wrote {args.out_cascades} and {args.out_scores}")
     return EXIT_OK
 

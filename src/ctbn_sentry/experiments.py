@@ -158,9 +158,7 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict[str, Path]:
         spec.t_end, spec.trajectory_count, derive_seed(spec.seed, _ANALYSIS_STREAM))
     analysis = sample_ensemble(model, None, analysis_config)
     comparison = compare_rednt_vs_naive(
-        model, analysis_config,
-        (NaiveParams(spec.fast_threshold, spec.min_cascade_length)
-         if spec.fast_threshold is not None else None),
+        model, analysis_config, spec.fast_threshold,
         k_range=None,  # every k up to the full filtered ranking
         alpha=spec.alpha,
         min_cascade_length=spec.min_cascade_length,

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
 
-from .graphs import DiGraph, is_ancestral
+from .graphs import DiGraph, digraph_to_dot, is_ancestral
 
 ROW_SUM_TOL = 1e-9
 DEFAULT_STATE_CAP = 1 << 20
@@ -684,14 +684,7 @@ def load_model(path, reject_unknown: bool = False) -> CtbnModel:
 
 
 def model_to_dot(model: CtbnModel) -> str:
-    lines = ["digraph ctbn {"]
-    for name in model.names:
-        lines.append(f'  "{name}";')
-    for p in model.processes:
-        for parent in p.parents:
-            lines.append(f'  "{parent}" -> "{p.name}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return digraph_to_dot(ctbn_graph(model), "ctbn")
 
 
 def state_space_to_dot(model: CtbnModel, max_states: int = 4096) -> str:

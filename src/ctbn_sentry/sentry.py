@@ -182,6 +182,7 @@ def discounted_reward_mc(model: CtbnModel, initial: Sequence[int], reward: Rewar
     at the horizon.
     """
     require_valid(model)
+    state_index(initial, model)  # range check
     seeds = (derive_seed(config.master_seed, k) for k in range(config.trajectory_count))
     scores = _discounted_scores(_compile(model), initial, config.t_end, reward.discount,
                                 seeds, reward)
@@ -345,11 +346,14 @@ def stopping_rule_ednt(model: CtbnModel, initial: Sequence[int], alpha: float,
     half-width when the estimate is 0), or when `cap` trajectories have been
     spent, whichever comes first.
     """
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
     if not relative_halfwidth > 0:
         raise ValueError("relative_halfwidth must be positive")
     if batch < 1 or cap < 1:
         raise ValueError("batch and cap must be >= 1")
     require_valid(model)
+    state_index(initial, model)  # range check
     tables = _compile(model)
     scores = np.empty(0)
     while True:

@@ -94,10 +94,6 @@ class Trajectory:
                            self.new_states.tolist()):
             yield Event(t, p, s)
 
-    @property
-    def events(self) -> list[Event]:
-        return list(self.iter_events())
-
 
 @dataclass(frozen=True)
 class SimulationConfig:

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +24,9 @@ from ctbn_sentry import (
     write_cascade_report,
     write_naive_scores_report,
 )
-from ctbn_sentry.cascade import suggested_min_cascade_length
+from ctbn_sentry.cascade import NaiveScores, _fast_runs, suggested_min_cascade_length
+
+from conftest import make_random_model
 
 
 def traj_from_times(times, n_processes=1, t_end=None, initial=None):
@@ -185,6 +189,86 @@ def test_single_cascade_single_count():
     assert scores.count((1, 0, 0)) == 1
 
 
+# -- the one state replay against the replays it replaced -------------------------------
+# Before `identify_cascades` and `naive_scores` shared `_states`, each replayed
+# the events itself: the first up to each run start, the second with a
+# start pointer walked alongside the events.  Both are kept here as references.
+
+
+def reference_identify_cascades(trajectory, params):
+    runs = _fast_runs(trajectory.times, params)
+    if not runs:
+        return []
+    procs = trajectory.processes.tolist()
+    states = trajectory.new_states.tolist()
+    values = list(trajectory.initial_state)
+    out = []
+    pos = 0
+    for a, b in runs:
+        while pos < a:  # replay up to (not including) the run's first event
+            values[procs[pos]] = states[pos]
+            pos += 1
+        out.append((a, b, tuple(values)))
+    return out
+
+
+def reference_naive_scores(trajectories, params):
+    acc = NaiveScores()
+    for trajectory in trajectories:
+        values = list(trajectory.initial_state)
+        key = tuple(values)
+        visits = acc.visits
+        counts = acc.counts
+        visits[key] = visits.get(key, 0) + 1  # the initial state counts as an entry
+        starts = [a for a, _ in _fast_runs(trajectory.times, params)]
+        acc.total_cascades += len(starts)
+        procs = trajectory.processes.tolist()
+        states = trajectory.new_states.tolist()
+        w = 0
+        for i in range(len(procs)):
+            if w < len(starts) and i == starts[w]:
+                key = tuple(values)
+                counts[key] = counts.get(key, 0) + 1
+                w += 1
+            values[procs[i]] = states[i]
+            key = tuple(values)
+            visits[key] = visits.get(key, 0) + 1
+    return acc
+
+
+def _first_events(trajectory, n):
+    return Trajectory(trajectory.initial_state, trajectory.times[:n],
+                      trajectory.processes[:n], trajectory.new_states[:n],
+                      trajectory.t_end)
+
+
+def test_replay_matches_reference_implementations():
+    non_binary = 0
+    for seed in range(10):
+        rng = random.Random(seed)
+        model = make_random_model(rng, max_states=36)
+        non_binary += max(model.cardinalities) > 2
+        ensemble = sample_ensemble(model, None,
+                                   SimulationConfig(rng.uniform(5.0, 30.0), 25, seed))
+        # trajectories with no event and with one event
+        ensemble += [_first_events(ensemble[0], 0), _first_events(ensemble[1], 1)]
+        median = default_fast_threshold(ensemble)
+        for threshold in (0.5 * median, median, 2.0 * median):
+            for mcl in (2, 3, 4):
+                params = NaiveParams(threshold, mcl)
+                got = naive_scores(ensemble, params)
+                want = reference_naive_scores(ensemble, params)
+                assert got.counts == want.counts
+                assert got.visits == want.visits
+                assert got.total_cascades == want.total_cascades
+                assert type(got.counts) is dict and type(got.visits) is dict
+                for traj in ensemble:
+                    windows = [(w.first_event_index, w.last_event_index, w.sentry_state)
+                               for w in identify_cascades(traj, params)]
+                    assert windows == reference_identify_cascades(traj, params)
+    assert non_binary >= 2
+
+
 # -- thresholds --------------------------------------------------------------------------
 
 
@@ -320,9 +404,13 @@ def test_pipeline_filters_by_max_active(chain3):
 
 def test_explicit_params_respected(chain3):
     config = SimulationConfig(30.0, 200, 5)
-    params = NaiveParams(0.04, 3)
-    result = compare_rednt_vs_naive(chain3, config, params, k_range=[1])
+    result = compare_rednt_vs_naive(chain3, config, 0.04, k_range=[1],
+                                    min_cascade_length=3)
     assert result.fast_threshold == 0.04
+    # the minimum length applies with a given threshold too
+    ensemble = sample_ensemble(chain3, None, config)
+    assert result.scores == naive_scores(ensemble, NaiveParams(0.04, 3))
+    assert result.scores != naive_scores(ensemble, NaiveParams(0.04, 2))
 
 
 # -- reports -----------------------------------------------------------------------------

@@ -171,6 +171,9 @@ def test_cascades_empty_input(tmp_path):
     assert run(["cascades", str(empty), "--auto-threshold",
                 "--out-cascades", str(out_c), "--out-scores", str(out_s)]) == 0
     assert len(out_c.read_text().strip().splitlines()) == 1
+    # visits do not depend on the threshold, so the lone state is still reported
+    assert out_s.read_text().splitlines() == [
+        "state_bits,naive_count,naive_score,visits,active_alarms", "0,0,0,1,0"]
 
 
 def test_cascades_min_length_usage_error(tmp_path):

@@ -426,6 +426,31 @@ def test_stopping_rule_validates_epsilon():
         stopping_rule_ednt(toggler_model(), (0,), 0.5, 10.0, 0.0)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0])
+def test_stopping_rule_validates_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        stopping_rule_ednt(toggler_model(), (0,), alpha, 5.0, 0.5, batch=10, cap=10, seed=1)
+
+
+BAD_INITIAL = pytest.mark.parametrize("initial, message", [
+    ((1, 1), "state has 2 entries, model has 1 processes"),
+    ((5,), "local state 5 out of range for cardinality 2"),
+], ids=["length", "range"])
+
+
+@BAD_INITIAL
+def test_stopping_rule_validates_initial(initial, message):
+    with pytest.raises(ValueError, match=message):
+        stopping_rule_ednt(toggler_model(), initial, 0.5, 5.0, 0.5, batch=10, cap=10, seed=1)
+
+
+@BAD_INITIAL
+def test_discounted_reward_mc_validates_initial(initial, message):
+    with pytest.raises(ValueError, match=message):
+        discounted_reward_mc(toggler_model(), initial, RewardSpec(0.5),
+                             SimulationConfig(5.0, 10, 1))
+
+
 # -- pinned Monte Carlo streams ------------------------------------------------------
 # Values the three estimators gave while each ran its own trajectory loop.  They
 # share one loop now but keep their own seeding, derive_seed(master, k),
