@@ -18,7 +18,6 @@ from ctbn_sentry import (
     rednt,
     state_from_index,
     state_index,
-    stopping_rule_ednt,
 )
 
 model = experiment_spec("chain3").build_model()
@@ -51,9 +50,9 @@ table = ednt_mc(model, alpha, SimulationConfig(20.0, 3000, 123), states=[(1, 0, 
 print(f"\nMC estimate for 100: {table.estimates[0]:.3f} ± {table.stderrs[0]:.3f} "
       f"(exact {values[idx]:.3f})")
 
-# The sequential stopping rule spends only as many trajectories as the
-# requested precision needs.
-res = stopping_rule_ednt(model, (1, 0, 0), alpha, 20.0,
-                         relative_halfwidth=0.02, batch=250, cap=50_000, seed=11)
-print(f"stopping rule: {res.estimate:.3f} after {res.trajectories_used} "
-      f"trajectories ({res.stopped_by})")
+# With epsilon the same estimator stops each state once its 95% half-width
+# is within 2% of the estimate, spending only the trajectories it needs.
+table = ednt_mc(model, alpha, SimulationConfig(20.0, 50_000, 11), states=[(1, 0, 0)],
+                epsilon=0.02)
+print(f"stopping rule: {table.estimates[0]:.3f} after {table.trajectory_counts[0]} "
+      f"trajectories")

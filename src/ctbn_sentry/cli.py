@@ -14,8 +14,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import cascade as _cascade
 from . import graphs as _graphs
 from . import model as _model
@@ -134,24 +132,9 @@ def cmd_sentry(args) -> int:
     if args.exact:
         ednt = _sentry.ednt_exact(model, args.alpha)
     else:
-        states = (range(model.state_count) if args.max_active is None
+        states = (None if args.max_active is None
                   else _model.low_activity_states(model, args.max_active, neighbors=True))
-        if args.epsilon is None:
-            ednt = _sentry.ednt_mc(model, args.alpha, config, states=states)
-        else:
-            results = [
-                _sentry.stopping_rule_ednt(
-                    model, _model.state_from_index(idx, model), args.alpha, args.t_end,
-                    args.epsilon, cap=args.trajectories,
-                    seed=_sim.derive_seed(args.seed, idx))
-                for idx in states
-            ]
-            ednt = _sentry.EdntTable(
-                np.array(states),
-                np.array([r.estimate for r in results]),
-                np.array([r.stderr for r in results]),
-                np.array([r.trajectories_used for r in results]),
-            )
+        ednt = _sentry.ednt_mc(model, args.alpha, config, states=states, epsilon=args.epsilon)
 
     ranking = _sentry.rednt(ednt, gs)
     if ranking.flags:

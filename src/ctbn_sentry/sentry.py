@@ -2,12 +2,12 @@
 
 The central quantity is the expected discounted number of transitions
 (EDNT) out of each joint state: every future transition at time t
-contributes e^(-alpha * t).  Up to the state cap the exact value solves a
-sparse linear system over the flattened chain; otherwise it is estimated by
-Monte Carlo over sampled trajectories.  The relative EDNT (REDNT) of a state is
-the largest ratio of its EDNT to that of any neighbor in the state-space
-graph (the state itself included, which floors the ratio at 1); states with
-high REDNT and few active alarms are the sentry candidates.
+contributes e^(-alpha * t).  The exact value solves a sparse linear system
+over the flattened chain; Monte Carlo over sampled trajectories estimates it
+up to a finite horizon.  The relative EDNT (REDNT) of a state is the largest
+ratio of its EDNT to that of any neighbor in the state-space graph (the
+state itself included, which floors the ratio at 1); states with high REDNT
+and few active alarms are the sentry candidates.
 """
 
 from __future__ import annotations
@@ -29,15 +29,21 @@ from .model import (
     active_alarm_count,
     intensity_matrix,
     low_activity_states,
-    require_valid,
     state_from_index,
     state_index,
 )
-from .simulate import SimulationConfig, _compile, _run_events, derive_seed, format_float
+from .simulate import (SimulationConfig, _check_horizon, _compile, _run_events, derive_seed,
+                       format_float)
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 BACKWARD_ERROR_TOL = 1e-14  # componentwise backward error the exact solve must reach
 MAX_REFINEMENTS = 8
+
+
+def _check_rate(name: str, value: float) -> None:
+    """The one rule for a discount rate: finite and positive."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +60,7 @@ class RewardSpec:
     instantaneous: Callable[[tuple], float] | None = None
 
     def __post_init__(self):
-        if not self.discount > 0:
-            raise ValueError(f"discount must be positive, got {self.discount}")
+        _check_rate("discount", self.discount)
 
     @property
     def counts_transitions(self) -> bool:
@@ -124,19 +129,20 @@ class RedntRanking:
 # -- Monte Carlo discounted rewards ---------------------------------------------
 
 
-def _discounted_scores(tables, initial: Sequence[int], t_end: float, alpha: float,
-                       seeds: Iterable[int], reward: RewardSpec | None = None) -> np.ndarray:
-    """One score per seed, each from a fresh trajectory out of `initial`.
+def _discounted_scores(tables, initial: Sequence[int], index: int, t_end: float,
+                       alpha: float, seed: int, ks: range,
+                       reward: RewardSpec | None = None) -> np.ndarray:
+    """One score per k in `ks`, from trajectory k out of `initial` (joint `index`),
+    seeded with derive_seed(seed, index, k): the one Monte Carlo stream contract.
 
     A trajectory scores its discounted transition count, or the discounted
-    `reward` when that is not the counting one.  The seed of each trajectory
-    is the caller's, so each estimator keeps its own stream contract.
+    `reward` when that is not the counting one.
     """
     general = reward is not None and not reward.counts_transitions
     exp = math.exp
     scores = []
-    for seed in seeds:
-        rng = random.Random(seed)
+    for k in ks:
+        rng = random.Random(derive_seed(seed, index, k))
         values = [int(v) for v in initial]
         if general:
             total = _general_score(tables, values, t_end, reward, rng)
@@ -181,11 +187,10 @@ def discounted_reward_mc(model: CtbnModel, initial: Sequence[int], reward: Rewar
     plus the discounted time integral of the instantaneous reward, truncated
     at the horizon.
     """
-    require_valid(model)
-    state_index(initial, model)  # range check
-    seeds = (derive_seed(config.master_seed, k) for k in range(config.trajectory_count))
-    scores = _discounted_scores(_compile(model), initial, config.t_end, reward.discount,
-                                seeds, reward)
+    tables = _compile(model)
+    scores = _discounted_scores(tables, initial, state_index(initial, model), config.t_end,
+                                reward.discount, config.master_seed,
+                                range(config.trajectory_count), reward)
     return float(scores.mean()), _stderr(scores)
 
 
@@ -197,17 +202,16 @@ def _stderr(scores: np.ndarray) -> float:
 
 def ednt_mc(model: CtbnModel, alpha: float, config: SimulationConfig,
             states: Iterable[Sequence[int] | int] | None = None,
-            max_states: int = DEFAULT_STATE_CAP) -> EdntTable:
+            epsilon: float | None = None) -> EdntTable:
     """Monte Carlo EDNT per requested state (default: every joint state).
 
-    Trajectory k for state x is seeded with derive_seed(master, index(x), k),
-    so the table is independent of the order states are requested in.
+    One :func:`stopping_rule_ednt` call per state, capped at
+    ``config.trajectory_count`` and seeded with ``config.master_seed``, so the
+    table does not depend on the order of `states`; ``epsilon`` is its
+    relative half-width (None spends the cap).
     """
-    require_valid(model)
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
     if states is None:
-        if model.state_count > max_states:
+        if model.state_count > DEFAULT_STATE_CAP:
             raise ValueError(
                 "model too large to enumerate all states; pass an explicit subset")
         indices = list(range(model.state_count))
@@ -215,18 +219,13 @@ def ednt_mc(model: CtbnModel, alpha: float, config: SimulationConfig,
         indices = sorted({
             s if isinstance(s, int) else state_index(s, model) for s in states
         })
-    tables = _compile(model)
-    n = config.trajectory_count
-
-    estimates = np.empty(len(indices))
-    stderrs = np.empty(len(indices))
-    for row, idx in enumerate(indices):
-        seeds = (derive_seed(config.master_seed, idx, k) for k in range(n))
-        scores = _discounted_scores(tables, state_from_index(idx, model), config.t_end,
-                                    alpha, seeds)
-        estimates[row] = scores.mean()
-        stderrs[row] = _stderr(scores)
-    return EdntTable(np.array(indices), estimates, stderrs, np.full(len(indices), n))
+    results = [
+        stopping_rule_ednt(model, state_from_index(idx, model), alpha, config.t_end,
+                           epsilon, cap=config.trajectory_count, seed=config.master_seed)
+        for idx in indices
+    ]
+    return EdntTable(indices, [r.estimate for r in results], [r.stderr for r in results],
+                     [r.trajectories_used for r in results])
 
 
 # -- exact values ----------------------------------------------------------------
@@ -245,8 +244,7 @@ def ednt_exact(model: CtbnModel, alpha: float,
     ``ValueError`` reports the error reached if ``MAX_REFINEMENTS`` steps do
     not get there.  States with exit rate 0 get V = 0 exactly.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _check_rate("alpha", alpha)
     Q = intensity_matrix(model, max_states=max_states)
     q = -Q.diagonal()
     n = q.size
@@ -337,35 +335,37 @@ class StoppingResult:
 
 
 def stopping_rule_ednt(model: CtbnModel, initial: Sequence[int], alpha: float,
-                       t_end: float, relative_halfwidth: float,
+                       t_end: float, relative_halfwidth: float | None,
                        batch: int = 200, cap: int = 100_000,
                        seed: int = 0) -> StoppingResult:
-    """Sample EDNT in batches until the 95% confidence half-width is small.
+    """Monte Carlo EDNT from one state, in batches until the 95% half-width is small.
 
     Stops once half-width / |estimate| < relative_halfwidth (absolute
     half-width when the estimate is 0), or when `cap` trajectories have been
-    spent, whichever comes first.
+    spent, whichever comes first; with ``relative_halfwidth`` None it spends
+    exactly `cap`.  Trajectory k is seeded with
+    derive_seed(seed, state_index(initial), k).
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if not relative_halfwidth > 0:
+    _check_rate("alpha", alpha)
+    _check_horizon(t_end)
+    if relative_halfwidth is None:
+        batch = cap
+    elif not relative_halfwidth > 0:
         raise ValueError("relative_halfwidth must be positive")
     if batch < 1 or cap < 1:
         raise ValueError("batch and cap must be >= 1")
-    require_valid(model)
-    state_index(initial, model)  # range check
     tables = _compile(model)
+    index = state_index(initial, model)
     scores = np.empty(0)
     while True:
         done = scores.size
-        seeds = (derive_seed(seed, n) for n in range(done, min(done + batch, cap)))
-        scores = np.concatenate(
-            (scores, _discounted_scores(tables, initial, t_end, alpha, seeds)))
+        scores = np.concatenate((scores, _discounted_scores(
+            tables, initial, index, t_end, alpha, seed, range(done, min(done + batch, cap)))))
         est = float(scores.mean())
         se = _stderr(scores)
         half = Z_95 * se
         criterion = half / abs(est) if est != 0.0 else half
-        if criterion < relative_halfwidth:
+        if relative_halfwidth is not None and criterion < relative_halfwidth:
             return StoppingResult(est, se, scores.size, "halfwidth")
         if scores.size >= cap:
             return StoppingResult(est, se, scores.size, "cap")

@@ -36,15 +36,22 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _check_horizon(t_end: float) -> None:
+    """The one horizon rule: finite and non-negative (NaN would never stop a run)."""
+    if not (t_end >= 0 and np.isfinite(t_end)):
+        raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
+
+
 def derive_seed(master_seed: int, *indices: int) -> int:
     """Deterministic 64-bit stream seed for (master_seed, index path).
 
     Folds each index into the avalanched master with an odd-constant offset
     (so index 0 is distinct from no index at all).  This single mixing rule
     is the bit-reproducibility contract for every randomized routine in the
-    package: trajectory k of an ensemble uses ``derive_seed(master, k)``,
-    per-state estimators use ``derive_seed(master, state_index, k)``, and so
-    on.
+    package: trajectory k of an ensemble uses ``derive_seed(master, k)``, and
+    trajectory k of every Monte Carlo estimate from a state x (``ednt_mc``,
+    ``stopping_rule_ednt``, ``discounted_reward_mc``) uses
+    ``derive_seed(master, state_index(x), k)``.
     """
     s = _splitmix64(master_seed & _MASK64)
     for i in indices:
@@ -80,8 +87,8 @@ class Trajectory:
         object.__setattr__(self, "processes", np.asarray(self.processes, dtype=np.int16))
         object.__setattr__(self, "new_states", np.asarray(self.new_states, dtype=np.int16))
         if times.size:
-            if times[0] <= 0.0 or (np.diff(times) <= 0).any():
-                raise ValueError("event times must be strictly increasing and positive")
+            if not np.isfinite(times).all() or times[0] <= 0.0 or (np.diff(times) <= 0).any():
+                raise ValueError("event times must be finite, positive and strictly increasing")
             if times[-1] > self.t_end:
                 raise ValueError("event beyond t_end")
 
@@ -104,8 +111,7 @@ class SimulationConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not (self.t_end >= 0 and np.isfinite(self.t_end)):
-            raise ValueError(f"t_end must be finite and non-negative, got {self.t_end}")
+        _check_horizon(self.t_end)
         if self.trajectory_count < 1:
             raise ValueError("trajectory_count must be >= 1")
 
@@ -254,6 +260,7 @@ def _to_trajectory(initial: Sequence[int], raw: list[tuple[float, int, int]],
 def sample_trajectory(model: CtbnModel, initial: Sequence[int] | None,
                       t_end: float, seed: int) -> Trajectory:
     """One trajectory from `initial` (default: the model's initial condition)."""
+    _check_horizon(t_end)
     tables = _compile(model)
     return _sample_one(model, tables, initial, t_end, seed)
 
@@ -324,15 +331,20 @@ def _write_rows(w, trajectory: Trajectory, names: Sequence[str], prefix: tuple) 
 
 
 def _rows_to_trajectory(rows: list[tuple[float, str, int]], name_order: list[str],
-                        t_end: float | None) -> Trajectory:
+                        t_end: float | None, where: str) -> Trajectory:
     name_to_idx = {n: i for i, n in enumerate(name_order)}
     initial = [0] * len(name_order)
     events: list[tuple[float, int, int]] = []
-    for t, name, s in rows:
-        if t == 0.0:
-            initial[name_to_idx[name]] = s
-        else:
-            events.append((t, name_to_idx[name], s))
+    try:
+        for t, name, s in rows:
+            if t == 0.0:
+                initial[name_to_idx[name]] = s
+            else:
+                events.append((t, name_to_idx[name], s))
+    except KeyError as exc:
+        raise ValueError(
+            f"process {exc.args[0]!r} in {where} is not declared by a time-0 row "
+            f"(declared: {', '.join(name_order)})") from None
     end = t_end if t_end is not None else (events[-1][0] if events else 0.0)
     return _to_trajectory(initial, events, end)
 
@@ -350,7 +362,7 @@ def read_trajectory_csv(path, t_end: float | None = None) -> tuple[Trajectory, l
             raise ValueError(f"unexpected trajectory CSV header: {header}")
         rows = [(float(t), name, int(s)) for t, name, s in r]
     names = [name for t, name, _ in rows if t == 0.0]
-    return _rows_to_trajectory(rows, names, t_end), names
+    return _rows_to_trajectory(rows, names, t_end, str(path)), names
 
 
 def read_ensemble_csv(path, t_end: float | None = None) -> tuple[list[Trajectory], list[str]]:
@@ -368,5 +380,6 @@ def read_ensemble_csv(path, t_end: float | None = None) -> tuple[list[Trajectory
     first = groups[min(groups)]
     names = [name for t, name, _ in first if t == 0.0]
     return [
-        _rows_to_trajectory(groups[tid], names, t_end) for tid in sorted(groups)
+        _rows_to_trajectory(groups[tid], names, t_end, f"trajectory {tid}")
+        for tid in sorted(groups)
     ], names

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from ctbn_sentry import Cim, CtbnModel, ProcessSpec, experiment_spec
+from ctbn_sentry import sentry as sentry_module
+from ctbn_sentry import simulate as simulate_module
 
 # Canonical three-alarm chain rates, written out longhand so the tests stay
 # independent of the replicator builder.
@@ -23,6 +25,15 @@ def chain3():
         (Cim(CHAIN3_A), Cim(CHAIN3_B), Cim(CHAIN3_C)),
         initial_state=(0, 0, 0),
     )
+
+
+@pytest.fixture()
+def no_sampling(monkeypatch):
+    """Make any trajectory sampling fail, so a check must come before it."""
+    def forbidden(*args):
+        raise AssertionError("sampled before validating")
+    monkeypatch.setattr(sentry_module, "_run_events", forbidden)
+    monkeypatch.setattr(simulate_module, "_run_events", forbidden)
 
 
 @pytest.fixture(scope="session")

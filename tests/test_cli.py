@@ -124,6 +124,25 @@ def test_sentry_stopping_rule(chain3_path, tmp_path):
     assert len(lines) >= 2
 
 
+def test_sentry_epsilon_never_met_equals_fixed_count(chain3_path, tmp_path):
+    fixed, eps = tmp_path / "fixed.csv", tmp_path / "eps.csv"
+    base = ["sentry", chain3_path, "--alpha", "0.3", "--t-end", "20",
+            "--trajectories", "300", "--seed", "5"]
+    assert run(base + ["--out", str(fixed)]) == 0
+    assert run(base + ["--epsilon", "1e-9", "--out", str(eps)]) == 0
+    assert eps.read_bytes() == fixed.read_bytes()
+
+
+@pytest.mark.parametrize("mode", [["--exact"], ["--trajectories", "20", "--max-active", "0"]],
+                         ids=["exact", "monte-carlo"])
+def test_sentry_infinite_alpha_is_domain_error(chain3_path, tmp_path, capsys, mode):
+    out = tmp_path / "s.csv"
+    assert run(["sentry", chain3_path, "--alpha", "inf", *mode, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: alpha must be positive and finite, got inf"]
+    assert not out.exists()
+
+
 def test_sentry_exact_absorbing_state(tmp_path):
     path = tmp_path / "absorbing.json"
     path.write_text(json.dumps({
@@ -174,6 +193,36 @@ def test_cascades_empty_input(tmp_path):
     # visits do not depend on the threshold, so the lone state is still reported
     assert out_s.read_text().splitlines() == [
         "state_bits,naive_count,naive_score,visits,active_alarms", "0,0,0,1,0"]
+
+
+def test_cascades_infinite_threshold(tmp_path):
+    log = tmp_path / "log.csv"
+    log.write_text("time,process,state\n0.0,A,0\n0.0,B,0\n1.0,A,1\n1.5,B,1\n9.0,A,0\n")
+    out_c, out_s = tmp_path / "c.csv", tmp_path / "s.csv"
+    assert run(["cascades", str(log), "--fast-threshold", "inf",
+                "--out-cascades", str(out_c), "--out-scores", str(out_s)]) == 0
+    assert len(out_c.read_text().splitlines()) == 2  # both gaps are fast: one window
+
+
+BAD_TIMES = "event times must be finite, positive and strictly increasing"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("trajectory_id,time,process,state\n0,0.0,A,0\n0,0.0,B,0\n0,1.0,A,1\n"
+     "1,0.0,A,0\n1,0.0,C,0\n1,2.0,C,1\n",
+     "process 'C' in trajectory 1 is not declared by a time-0 row (declared: A, B)"),
+    ("time,process,state\n0.0,A,0\n0.0,B,0\n1.0,A,1\n2.0,C,1\n",
+     "process 'C' in {path} is not declared by a time-0 row (declared: A, B)"),
+    ("time,process,state\n0.0,A,0\n1.0,A,1\nnan,A,0\n", BAD_TIMES),
+    ("trajectory_id,time,process,state\n0,0.0,A,0\n0,inf,A,1\n", BAD_TIMES),
+], ids=["ensemble-undeclared", "single-undeclared", "single-nan", "ensemble-inf"])
+def test_cascades_bad_trajectory_csv(tmp_path, capsys, text, message):
+    log = tmp_path / "log.csv"
+    log.write_text(text)
+    assert run(["cascades", str(log), "--fast-threshold", "1",
+                "--out-cascades", str(tmp_path / "c.csv"),
+                "--out-scores", str(tmp_path / "s.csv")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message.format(path=log)}"]
 
 
 def test_cascades_min_length_usage_error(tmp_path):

@@ -56,6 +56,9 @@ REFERENCE_REDNT = {
 def test_reward_spec_requires_positive_discount():
     with pytest.raises(ValueError):
         RewardSpec(discount=0.0)
+    for discount in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="discount must be positive and finite"):
+            RewardSpec(discount)
 
 
 def test_zero_rate_model_scores_zero():
@@ -116,6 +119,9 @@ def test_ednt_exact_zero_model():
 def test_ednt_exact_requires_positive_alpha(chain3):
     with pytest.raises(ValueError):
         ednt_exact(chain3, 0.0)
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            ednt_exact(chain3, alpha)
 
 
 def test_ednt_exact_monotone_in_alpha(chain3):
@@ -426,10 +432,22 @@ def test_stopping_rule_validates_epsilon():
         stopping_rule_ednt(toggler_model(), (0,), 0.5, 10.0, 0.0)
 
 
-@pytest.mark.parametrize("alpha", [0.0, -1.0])
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan])
 def test_stopping_rule_validates_alpha(alpha):
     with pytest.raises(ValueError, match="alpha must be positive"):
         stopping_rule_ednt(toggler_model(), (0,), alpha, 5.0, 0.5, batch=10, cap=10, seed=1)
+
+
+@pytest.mark.parametrize("t_end", [math.nan, math.inf, -1.0])
+def test_stopping_rule_validates_horizon(t_end, no_sampling):
+    with pytest.raises(ValueError, match="t_end must be finite and non-negative"):
+        stopping_rule_ednt(toggler_model(), (0,), 0.5, t_end, 0.1, batch=5, cap=5)
+
+
+@pytest.mark.parametrize("alpha", [0.0, math.inf, math.nan])
+def test_ednt_mc_validates_alpha(alpha, no_sampling):
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        ednt_mc(toggler_model(), alpha, SimulationConfig(5.0, 10, 1))
 
 
 BAD_INITIAL = pytest.mark.parametrize("initial, message", [
@@ -452,9 +470,10 @@ def test_discounted_reward_mc_validates_initial(initial, message):
 
 
 # -- pinned Monte Carlo streams ------------------------------------------------------
-# Values the three estimators gave while each ran its own trajectory loop.  They
-# share one loop now but keep their own seeding, derive_seed(master, k),
-# derive_seed(master, index, k) and derive_seed(seed, n), so the draws must not move.
+# One stream contract: trajectory k of every Monte Carlo estimate from state x is
+# seeded with derive_seed(seed, state_index(x), k).  The ednt_mc pin predates the
+# contract (it was already ednt_mc's seeding); the stopping-rule and
+# discounted_reward_mc pins were recorded when they adopted it.
 
 
 def test_ednt_mc_stream_pinned():
@@ -468,8 +487,8 @@ def test_ednt_mc_stream_pinned():
 
 
 @pytest.mark.parametrize("epsilon, batch, cap, expected", [
-    (0.05, 20, 2000, (4.502110241008017, 0.11302919528446248, 180, "halfwidth")),
-    (0.001, 30, 90, (4.660197435747496, 0.1609115067052456, 90, "cap")),
+    (0.05, 20, 2000, (4.229130408247697, 0.10327853558782887, 220, "halfwidth")),
+    (0.001, 30, 90, (4.33968964529267, 0.15830611501726713, 90, "cap")),
 ])
 def test_stopping_rule_stream_pinned(epsilon, batch, cap, expected):
     res = stopping_rule_ednt(toggler_model(2.0, 3.0), (1,), 0.5, 4.0, epsilon,
@@ -481,14 +500,36 @@ def test_stopping_rule_stream_pinned(epsilon, batch, cap, expected):
 
 
 @pytest.mark.parametrize("reward, expected", [
-    (RewardSpec(0.3), (13.547199874560864, 0.793679457764885)),
+    (RewardSpec(0.3), (13.647939276159144, 0.800859439890173)),
     (RewardSpec(0.3, lump_sum=lambda x, y: 1.0 + sum(y),
                 instantaneous=lambda x: 0.5 * x[2]),
-     (32.73196039693298, 2.2198742020416296)),
+     (32.80204107615519, 2.09237267096151)),
 ], ids=["counting", "general"])
 def test_discounted_reward_mc_stream_pinned(chain3, reward, expected):
     mean, se = discounted_reward_mc(chain3, (1, 0, 0), reward, SimulationConfig(6.0, 40, 3))
     assert (mean, se) == pytest.approx(expected, rel=1e-12)
+
+
+def test_three_estimators_share_one_stream(chain3):
+    config = SimulationConfig(20.0, 300, 5)
+    table = ednt_mc(chain3, 0.3, config, states=[(1, 0, 0)])
+    res = stopping_rule_ednt(chain3, (1, 0, 0), 0.3, 20.0, None, cap=300, seed=5)
+    reward = discounted_reward_mc(chain3, (1, 0, 0), RewardSpec(0.3), config)
+    assert (table.estimates[0], table.stderrs[0]) == (res.estimate, res.stderr) == reward
+    assert reward == pytest.approx((16.571684199054154, 0.274394051985436), rel=1e-12)
+    assert table.trajectory_counts.tolist() == [300]
+    assert (res.trajectories_used, res.stopped_by) == (300, "cap")
+
+
+def test_ednt_mc_epsilon_reports_trajectories_spent(chain3):
+    config = SimulationConfig(20.0, 4000, 5)
+    states = [(0, 0, 0), (1, 0, 0)]
+    table = ednt_mc(chain3, 0.3, config, states=states, epsilon=0.05)
+    for state, est, se, used in zip(states, table.estimates, table.stderrs,
+                                    table.trajectory_counts):
+        res = stopping_rule_ednt(chain3, state, 0.3, 20.0, 0.05, cap=4000, seed=5)
+        assert (est, se, used) == (res.estimate, res.stderr, res.trajectories_used)
+        assert used < 4000
 
 
 # -- report ------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from ctbn_sentry import (
     SimulationConfig,
+    Trajectory,
     amalgamate,
     derive_seed,
     read_ensemble_csv,
@@ -73,6 +74,18 @@ def test_trajectory_invariants(chain3):
     for ev in traj.iter_events():
         assert values[ev.process] != ev.new_local_state
         values[ev.process] = ev.new_local_state
+
+
+@pytest.mark.parametrize("times", [[math.nan], [1.0, math.nan], [1.0, math.inf]])
+def test_trajectory_rejects_non_finite_times(times):
+    with pytest.raises(ValueError, match="finite"):
+        Trajectory((0,), times, [0] * len(times), [1] * len(times), math.inf)
+
+
+@pytest.mark.parametrize("t_end", [math.nan, math.inf, -1.0])
+def test_sample_trajectory_validates_horizon(t_end, no_sampling):
+    with pytest.raises(ValueError, match="t_end must be finite and non-negative"):
+        sample_trajectory(toggler_model(), None, t_end, 1)
 
 
 def test_mean_holding_time_matches_rate():
