@@ -1,8 +1,8 @@
-"""Sample trajectories by competing exponential clocks and look at one.
+"""Sample trajectories by the direct method and look at one.
 
-Every process holds a pending transition time; the earliest fires, and the
-clocks of the fired process and its children are redrawn.  A fixed seed
-makes every run bit-identical.
+Each event draws a holding time from the total exit rate of the current
+state, then picks which process moves in proportion to its rate.  A fixed
+seed makes every run bit-identical.
 """
 
 import numpy as np
@@ -31,8 +31,8 @@ for j, name in enumerate(model.names):
     row = "".join("#" if state_at(traj, float(t))[j] else "." for t in grid)
     print(f"  {name}: {row}")
 
-# Ensembles are lists of independent trajectories with per-index seeds, so
-# the same configuration always reproduces the same ensemble.
+# An ensemble holds independent trajectories keyed by their index, so the
+# same configuration always reproduces the same ensemble.
 config = SimulationConfig(t_end=12.0, trajectory_count=3, master_seed=99)
 ensemble = sample_ensemble(model, (0, 0, 0), config)
 again = sample_ensemble(model, (0, 0, 0), config)

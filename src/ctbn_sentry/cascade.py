@@ -11,9 +11,8 @@ Count) and the fraction of its visits that did so (Naive Score).
 from __future__ import annotations
 
 import csv
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .model import (
     state_index,
 )
 from .sentry import RedntRanking, ednt_exact, rank_sentry_states, rednt
-from .simulate import SimulationConfig, Trajectory, format_float, sample_ensemble
+from .simulate import Ensemble, SimulationConfig, Trajectory, format_float, sample_ensemble
 
 
 @dataclass(frozen=True)
@@ -58,45 +57,131 @@ class CascadeWindow:
         return self.last_event_index - self.first_event_index + 1
 
 
-def _fast_runs(times: np.ndarray, params: NaiveParams) -> list[tuple[int, int]]:
-    """Maximal runs of consecutive fast events meeting the length minimum.
+def _gaps(ensemble: Ensemble) -> np.ndarray:
+    """The gap before every event; NaN before a member's first event, which
+    has no predecessor."""
+    gaps = np.diff(ensemble.times, prepend=np.nan)
+    heads = ensemble.offsets[:-1]
+    gaps[heads[heads < gaps.size]] = np.nan
+    return gaps
 
-    The first event of a trajectory has no predecessor and is never fast.
+
+def _fast_runs(ensemble: Ensemble, params: NaiveParams) -> tuple[np.ndarray, np.ndarray]:
+    """First and last event (ensemble event indices) of every cascade: the
+    maximal runs of consecutive fast events meeting the length minimum."""
+    fast = np.concatenate(([False], _gaps(ensemble) < params.fast_threshold, [False]))
+    edges = np.diff(fast.view(np.int8))
+    first, end = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    keep = end - first >= params.min_cascade_length
+    return first[keep], end[keep] - 1
+
+
+_CODE_LIMIT = 1 << 62  # largest product of radices one int64 code column holds
+_PART_EVENTS = 1 << 16  # events per scanned part: bounds the scan's temporaries
+
+
+class _Scan(NamedTuple):
+    """The cascades and visited states of one part of an ensemble.
+
+    Visit k (k < members) is member k's initial state, visit members + i the
+    state after event i; every visited state has an integer code, and
+    ``decode`` turns codes (below ``bound``) back into state tuples.
     """
-    n = times.size
-    if n < 2:
-        return []
-    fast = np.empty(n, dtype=bool)
-    fast[0] = False
-    np.less(np.diff(times), params.fast_threshold, out=fast[1:])
-    if not fast.any():
-        return []
-    prev = np.concatenate(([False], fast[:-1]))
-    nxt = np.concatenate((fast[1:], [False]))
-    starts = np.flatnonzero(fast & ~prev)
-    ends = np.flatnonzero(fast & ~nxt)
-    return [(int(a), int(b)) for a, b in zip(starts, ends)
-            if b - a + 1 >= params.min_cascade_length]
+
+    first: np.ndarray  # first and last event of every cascade
+    last: np.ndarray
+    codes: np.ndarray  # code of every visit
+    launches: np.ndarray  # code of the state just before each cascade
+    bound: int
+    decode: Callable[[np.ndarray], list[tuple[int, ...]]]
 
 
-def _states(trajectory: Trajectory) -> list[tuple[int, ...]]:
-    """The states a trajectory occupies, in order: entry i is the state just
-    before event i, and the last entry is the final state."""
-    values = list(trajectory.initial_state)
-    states = [tuple(values)]
-    for proc, new in zip(trajectory.processes.tolist(), trajectory.new_states.tolist()):
-        values[proc] = new
-        states.append(tuple(values))
-    return states
+def _parts(ensemble: Ensemble) -> Iterator[tuple[int, Ensemble]]:
+    """Consecutive member slices of at most ``_PART_EVENTS`` events (or one
+    member), each with the index of its first member."""
+    lo = 0
+    while lo < len(ensemble):
+        limit = ensemble.offsets[lo] + _PART_EVENTS
+        hi = max(lo + 1, int(np.searchsorted(ensemble.offsets, limit, side="right")) - 1)
+        yield lo, ensemble[lo:hi]
+        lo = hi
+
+
+def _scan(part: Ensemble, params: NaiveParams) -> _Scan:
+    """Cascades and visit codes of an ensemble part.
+
+    A code is the mixed-radix index of the state, the radix of a process
+    being its largest local state seen plus one: the member's initial index
+    plus the cumulative sum of (new - old) * place value over its events.
+    When the radices' product exceeds ``_CODE_LIMIT`` the processes are split
+    into groups of one code column each, and codes rank the distinct rows.
+    """
+    members, n = part.initial_states.shape
+    counts = np.diff(part.offsets)
+    process = part.processes.astype(np.intp)
+    new = part.new_states.astype(np.int64)
+    radix = part.initial_states.max(axis=0, initial=0).astype(np.int64) + 1
+    np.maximum.at(radix, process, new + 1)
+
+    # each event's old local state: the previous event of its process in
+    # its member, else the member's initial state
+    slot = np.repeat(np.arange(members, dtype=np.int64) * n, counts) + process
+    order = np.argsort(slot, kind="stable")
+    slot, before = slot[order], np.empty_like(new)
+    before[1:] = new[order[:-1]]
+    opens = np.diff(slot, prepend=-1) != 0  # first event of its (member, process)
+    before[opens] = part.initial_states.ravel()[slot[opens]]
+    old = np.empty_like(new)
+    old[order] = before
+    del slot, order, before, opens
+
+    group, place = np.zeros(n, dtype=np.intp), np.ones(n, dtype=np.int64)
+    g, span = 0, 1
+    for j in reversed(range(n)):  # last process least significant
+        if span * int(radix[j]) > _CODE_LIMIT:
+            g, span = g + 1, 1
+        group[j], place[j] = g, span
+        span *= int(radix[j])
+    columns = []
+    for g in range(group.max(initial=0) + 1):
+        weight = np.where(group == g, place, 0)
+        initial = part.initial_states @ weight
+        # int64 sums may wrap across members; the wrap cancels within each
+        steps = np.cumsum((new - old) * weight[process])
+        before_first = np.concatenate(([0], steps))[part.offsets[:-1]]
+        columns.append(np.concatenate((initial, steps + np.repeat(initial - before_first,
+                                                                  counts))))
+    if len(columns) == 1:
+        codes, rows, bound = columns[0], None, span
+    else:
+        rows, codes = np.unique(np.stack(columns, axis=1), axis=0, return_inverse=True)
+        bound = len(rows)
+
+    def decode(selected: np.ndarray) -> list[tuple[int, ...]]:
+        digits = (selected[:, None] if rows is None else rows[selected])[:, group]
+        return list(map(tuple, (digits // place % radix).tolist()))
+
+    first, last = _fast_runs(part, params)
+    # a cascade never opens a member, so the state before event a is the
+    # visit after event a - 1
+    return _Scan(first, last, codes, codes[members + first - 1], bound, decode)
+
+
+def _tally(codes: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct codes (ascending) and their counts: by bincount when the code
+    range is no larger than the data, else by sorting."""
+    if bound <= codes.size:
+        counts = np.bincount(codes, minlength=bound)
+        seen = np.flatnonzero(counts)
+        return seen, counts[seen]
+    return np.unique(codes, return_counts=True)
 
 
 def identify_cascades(trajectory: Trajectory, params: NaiveParams) -> list[CascadeWindow]:
     """All cascades of a trajectory, in time order (windows are disjoint)."""
-    runs = _fast_runs(trajectory.times, params)
-    if not runs:
-        return []
-    states = _states(trajectory)
-    return [CascadeWindow(a, b, states[a]) for a, b in runs]
+    scan = _scan(Ensemble.from_trajectories([trajectory]), params)
+    return [CascadeWindow(a, b, x) for a, b, x in zip(
+        scan.first.tolist(), scan.last.tolist(), scan.decode(scan.launches))]
 
 
 @dataclass
@@ -118,30 +203,31 @@ class NaiveScores:
         return self.counts.get(tuple(state), 0) / v
 
 
-def naive_scores(trajectories: Iterable[Trajectory], params: NaiveParams) -> NaiveScores:
+def naive_scores(trajectories: Ensemble | Iterable[Trajectory],
+                 params: NaiveParams) -> NaiveScores:
     """Aggregate cascade starts and visits over a trajectory collection.
 
     Every state a trajectory occupies counts as a visit, the initial one
     included, so visits do not depend on the threshold.
     """
-    counts = Counter()
-    visits = Counter()
-    total = 0
-    for traj in trajectories:
-        states = _states(traj)
-        visits.update(states)
-        launched = [states[a] for a, _ in _fast_runs(traj.times, params)]
-        counts.update(launched)
-        total += len(launched)
-    return NaiveScores(dict(counts), dict(visits), total)
+    result = NaiveScores()
+    for _, part in _parts(Ensemble.from_trajectories(trajectories)):
+        scan = _scan(part, params)
+        for tally, codes in ((result.counts, scan.launches), (result.visits, scan.codes)):
+            distinct, counts = _tally(codes, scan.bound)
+            for state, count in zip(scan.decode(distinct), counts.tolist()):
+                tally[state] = tally.get(state, 0) + count
+        result.total_cascades += int(scan.first.size)
+    return result
 
 
-def default_fast_threshold(trajectories: Iterable[Trajectory]) -> float:
+def default_fast_threshold(trajectories: Ensemble | Iterable[Trajectory]) -> float:
     """Median inter-event gap, pooled across trajectories and event types."""
-    gaps = [np.diff(t.times) for t in trajectories if t.event_count >= 2]
-    if not gaps:
+    gaps = _gaps(Ensemble.from_trajectories(trajectories))
+    gaps = gaps[~np.isnan(gaps)]
+    if not gaps.size:
         raise ValueError("need at least two events in some trajectory to pool gaps")
-    return float(np.median(np.concatenate(gaps)))
+    return float(np.median(gaps))
 
 
 def suggested_min_cascade_length(graph, slow_processes: Iterable[str]) -> int:
@@ -262,23 +348,22 @@ def compare_rednt_vs_naive(
 # -- reports -------------------------------------------------------------------
 
 
-def write_cascade_report(path, trajectories: Iterable[Trajectory],
+def write_cascade_report(path, trajectories: Ensemble | Iterable[Trajectory],
                          params: NaiveParams) -> None:
     """CSV of every cascade window: trajectory, time span, length, sentry state."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["trajectory_id", "start_time", "end_time", "length",
                     "sentry_state_bits"])
-        for tid, traj in enumerate(trajectories):
-            for win in identify_cascades(traj, params):
-                bits = "".join(str(v) for v in win.sentry_state)
-                w.writerow([
-                    tid,
-                    format_float(float(traj.times[win.first_event_index])),
-                    format_float(float(traj.times[win.last_event_index])),
-                    win.length,
-                    bits,
-                ])
+        for lo, part in _parts(Ensemble.from_trajectories(trajectories)):
+            scan = _scan(part, params)
+            members = lo + np.searchsorted(part.offsets, scan.first, side="right") - 1
+            for k, start, end, length, state in zip(
+                    members.tolist(), part.times[scan.first].tolist(),
+                    part.times[scan.last].tolist(), (scan.last - scan.first + 1).tolist(),
+                    scan.decode(scan.launches)):
+                w.writerow([k, format_float(start), format_float(end), length,
+                            "".join(map(str, state))])
 
 
 def write_naive_scores_report(path, scores: NaiveScores) -> None:

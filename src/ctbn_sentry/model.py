@@ -19,7 +19,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -169,6 +169,13 @@ class CtbnModel:
                      for parents in self.parent_indices)
 
     @cached_property
+    def rate_table(self) -> RateTable:
+        """The validated model's transition rates, built once per model for
+        the sampler (see :class:`RateTable`)."""
+        require_valid(self)
+        return _rate_table(self)
+
+    @cached_property
     def children_indices(self) -> tuple[tuple[int, ...], ...]:
         kids: list[list[int]] = [[] for _ in self.processes]
         for j, parents in enumerate(self.parent_indices):
@@ -180,6 +187,40 @@ class CtbnModel:
         if isinstance(process, str):
             return self.name_to_index[process]
         return int(process)
+
+
+class RateTable(NamedTuple):
+    """Every CIM row's off-diagonal rates, stacked for lookup by joint state.
+
+    Process j in joint state x reads row ``offsets[j] + (x @ weights)[j]`` of
+    ``rates``, which is ``offsets[j] + config * cardinality[j] + x[j]``: the
+    mixed-radix parent configuration of :func:`intensity_matrix`.  Entry s of
+    a row is the rate into local state s; the diagonal and the columns past
+    the process's cardinality are 0.
+    """
+
+    rates: np.ndarray  # (rows, largest cardinality)
+    offsets: np.ndarray  # (n,) first row of each process
+    weights: np.ndarray  # (n, n) int64
+
+
+def _rate_table(model: CtbnModel) -> RateTable:
+    n = model.process_count
+    cards = model.cardinalities
+    width = max(cards, default=1)
+    weights = np.zeros((n, n), dtype=np.int64)
+    blocks = []
+    for j, cim in enumerate(model.cims):
+        weights[j, j] = 1
+        for p, m in zip(model.parent_indices[j], model.parent_multipliers[j]):
+            weights[p, j] = m * cards[j]
+        block = np.zeros((cim.parent_config_count, cards[j], width))
+        block[:, :, :cards[j]] = cim.matrices
+        block[:, range(cards[j]), range(cards[j])] = 0.0
+        blocks.append(block.reshape(-1, width))
+    offsets = np.cumsum([0, *(len(b) for b in blocks)], dtype=np.int64)[:n]
+    rates = np.concatenate(blocks) if blocks else np.zeros((0, width))
+    return RateTable(rates, offsets, weights)
 
 
 # -- state indexing --------------------------------------------------------

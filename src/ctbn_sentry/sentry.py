@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -32,8 +31,8 @@ from .model import (
     state_from_index,
     state_index,
 )
-from .simulate import (SimulationConfig, _check_horizon, _compile, _run_events, derive_seed,
-                       format_float)
+from .simulate import (SimulationConfig, _check_horizon, _initial_states, _member_keys,
+                       _sample, _steps, derive_seed, format_float)
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 BACKWARD_ERROR_TOL = 1e-14  # componentwise backward error the exact solve must reach
@@ -129,54 +128,41 @@ class RedntRanking:
 # -- Monte Carlo discounted rewards ---------------------------------------------
 
 
-def _discounted_scores(tables, initial: Sequence[int], index: int, t_end: float,
+def _discounted_scores(model: CtbnModel, initial: Sequence[int], index: int, t_end: float,
                        alpha: float, seed: int, ks: range,
                        reward: RewardSpec | None = None) -> np.ndarray:
     """One score per k in `ks`, from trajectory k out of `initial` (joint `index`),
-    seeded with derive_seed(seed, index, k): the one Monte Carlo stream contract.
+    keyed by derive_seed(seed, index, k): the one Monte Carlo stream contract.
 
     A trajectory scores its discounted transition count, or the discounted
     `reward` when that is not the counting one.
     """
-    general = reward is not None and not reward.counts_transitions
-    exp = math.exp
-    scores = []
-    for k in ks:
-        rng = random.Random(derive_seed(seed, index, k))
-        values = [int(v) for v in initial]
-        if general:
-            total = _general_score(tables, values, t_end, reward, rng)
-        else:
-            total = 0.0
-            for t, _, _ in _run_events(tables, values, t_end, rng):
-                total += exp(-alpha * t)
-        scores.append(total)
-    return np.array(scores, dtype=float)
-
-
-def _general_score(tables, values: list[int], t_end: float, reward: RewardSpec,
-                   rng) -> float:
-    alpha = reward.discount
+    keys = _member_keys(derive_seed(seed, index), ks)
+    if reward is None or reward.counts_transitions:
+        scores = np.zeros(keys.size)
+        start = _initial_states(model, keys, initial)
+        for live, t, _, _ in _steps(model.rate_table, keys, start, t_end):
+            scores[live] += np.exp(-alpha * t)
+        return scores
     lump = reward.lump_sum or (lambda x, y: 1.0)
     inst = reward.instantaneous
-    start = tuple(values)
-    events = _run_events(tables, values, t_end, rng)
-    exp = math.exp
-    total = 0.0
-    prev_state = list(start)
-    prev_t = 0.0
-    prev_weight = 1.0  # e^(-alpha * 0)
-    for t, j, s in events:
-        weight = exp(-alpha * t)
-        if inst is not None:
-            total += inst(tuple(prev_state)) / alpha * (prev_weight - weight)
-        before = tuple(prev_state)
-        prev_state[j] = s
-        total += weight * lump(before, tuple(prev_state))
-        prev_t, prev_weight = t, weight
-    if inst is not None:  # close the final segment at t_end
-        total += inst(tuple(prev_state)) / alpha * (prev_weight - exp(-alpha * t_end))
-    return total
+    scores = []
+    for trajectory in _sample(model, keys, initial, t_end):
+        state = list(trajectory.initial_state)
+        total = 0.0
+        weight = 1.0  # e^(-alpha * t) at the last event, here t = 0
+        for t, j, s in trajectory.iter_events():
+            before = tuple(state)
+            state[j] = s
+            now = math.exp(-alpha * t)
+            if inst is not None:
+                total += inst(before) / alpha * (weight - now)
+            total += now * lump(before, tuple(state))
+            weight = now
+        if inst is not None:  # close the final segment at t_end
+            total += inst(tuple(state)) / alpha * (weight - math.exp(-alpha * t_end))
+        scores.append(total)
+    return np.array(scores, dtype=float)
 
 
 def discounted_reward_mc(model: CtbnModel, initial: Sequence[int], reward: RewardSpec,
@@ -187,8 +173,7 @@ def discounted_reward_mc(model: CtbnModel, initial: Sequence[int], reward: Rewar
     plus the discounted time integral of the instantaneous reward, truncated
     at the horizon.
     """
-    tables = _compile(model)
-    scores = _discounted_scores(tables, initial, state_index(initial, model), config.t_end,
+    scores = _discounted_scores(model, initial, state_index(initial, model), config.t_end,
                                 reward.discount, config.master_seed,
                                 range(config.trajectory_count), reward)
     return float(scores.mean()), _stderr(scores)
@@ -354,13 +339,12 @@ def stopping_rule_ednt(model: CtbnModel, initial: Sequence[int], alpha: float,
         raise ValueError("relative_halfwidth must be positive")
     if batch < 1 or cap < 1:
         raise ValueError("batch and cap must be >= 1")
-    tables = _compile(model)
     index = state_index(initial, model)
     scores = np.empty(0)
     while True:
         done = scores.size
         scores = np.concatenate((scores, _discounted_scores(
-            tables, initial, index, t_end, alpha, seed, range(done, min(done + batch, cap)))))
+            model, initial, index, t_end, alpha, seed, range(done, min(done + batch, cap)))))
         est = float(scores.mean())
         se = _stderr(scores)
         half = Z_95 * se

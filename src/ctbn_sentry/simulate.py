@@ -1,29 +1,36 @@
-"""Trajectory sampling by competing exponential clocks.
+"""Trajectory sampling by the direct method, one numpy step per event.
 
-Each process holds a pending transition time drawn from its current exit
-rate; the earliest clock fires, the transitioning process draws its next
-local state, and the clocks of the transitioned process and its children are
-regenerated (their rates may have changed; untouched clocks stay valid by
-memorylessness).  The first event past ``t_end`` is discarded.
+Every live trajectory of an ensemble advances together: each step gathers the
+rates of all candidate transitions (process j to local state s) from the
+model's :class:`~ctbn_sentry.model.RateTable` by mixed-radix index
+arithmetic, draws the holding time from the total exit rate and picks the
+transition in proportion to its rate (Gillespie 1977, the direct method).
+The first event past ``t_end`` is discarded, and a trajectory with exit rate
+0 stops.  An :class:`Ensemble` holds the result as flat arrays; a
+:class:`Trajectory` is a view of one member.
+
+Randomness comes from a counter-based stream: draw c of a trajectory with
+key s is output c of the SplitMix64 generator seeded with s, computed for
+all trajectories at once in uint64 arithmetic (Salmon et al. 2011).  Draw 0
+picks the initial state when it is drawn from the model's distribution;
+event i uses draws 1 + 2i (holding time) and 2 + 2i (transition).
 
 Reproducibility contract: a trajectory is fully determined by
-(model, initial state, t_end, seed).  Ensemble member k uses
-``derive_seed(master_seed, k)``, so results are independent of evaluation
-order.
+(model, initial state, t_end, key).  Ensemble member k has key
+``derive_seed(master_seed, k)``, so an ensemble equals its single draws
+(``sample_trajectory`` with that seed) and does not depend on its size.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
-import random
+import warnings
 from dataclasses import dataclass
-from math import inf, log
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import CtbnModel, require_valid, state_index
+from .model import CtbnModel, RateTable, state_index
 
 _MASK64 = (1 << 64) - 1
 
@@ -59,6 +66,21 @@ def derive_seed(master_seed: int, *indices: int) -> int:
     return s
 
 
+def _check_times(times: np.ndarray, offsets: np.ndarray, t_end: float) -> None:
+    """The one rule for event times: the events of each member (those from
+    ``offsets[k]`` on) are finite, positive, strictly increasing and at most
+    ``t_end``."""
+    if not times.size:
+        return
+    gaps = np.diff(times, prepend=0.0)
+    heads = offsets[:-1][offsets[:-1] < times.size]
+    gaps[heads] = times[heads]  # a member's first event follows time 0
+    if not np.isfinite(times).all() or (gaps <= 0).any():
+        raise ValueError("event times must be finite, positive and strictly increasing")
+    if times.max() > t_end:
+        raise ValueError("event beyond t_end")
+
+
 class Event(NamedTuple):
     """A single-component transition: at `time`, `process` moved to `new_local_state`."""
 
@@ -72,7 +94,8 @@ class Trajectory:
     """A right-continuous piecewise-constant realization on [0, t_end].
 
     Events are stored as parallel arrays (times strictly increasing, one
-    process change per event) to keep large ensembles cheap.
+    process change per event); a member of an :class:`Ensemble` is a view of
+    the ensemble's arrays.
     """
 
     initial_state: tuple[int, ...]
@@ -86,11 +109,7 @@ class Trajectory:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "processes", np.asarray(self.processes, dtype=np.int16))
         object.__setattr__(self, "new_states", np.asarray(self.new_states, dtype=np.int16))
-        if times.size:
-            if not np.isfinite(times).all() or times[0] <= 0.0 or (np.diff(times) <= 0).any():
-                raise ValueError("event times must be finite, positive and strictly increasing")
-            if times[-1] > self.t_end:
-                raise ValueError("event beyond t_end")
+        _check_times(times, np.array([0, times.size]), self.t_end)
 
     @property
     def event_count(self) -> int:
@@ -116,176 +135,200 @@ class SimulationConfig:
             raise ValueError("trajectory_count must be >= 1")
 
 
-# -- compiled sampling tables --------------------------------------------------
+# -- the ensemble --------------------------------------------------------------
 
 
-class _Tables(NamedTuple):
-    n: int
-    parents: tuple[tuple[int, ...], ...]
-    pmults: tuple[tuple[int, ...], ...]
-    # rows[j][config][local] = (exit_rate, targets, cumulative_rates)
-    rows: tuple
-    affected: tuple[tuple[int, ...], ...]
-    initial_state: tuple[int, ...] | None
-    initial_cum: tuple | None  # (cumulative probs, state tuples) for a distribution
+@dataclass(frozen=True)
+class Ensemble:
+    """Trajectories as flat arrays: the events of member k are entries
+    ``offsets[k]:offsets[k + 1]`` of `times`, `processes` and `new_states`.
+
+    Indexing and iteration give :class:`Trajectory` views of the members.
+    """
+
+    times: np.ndarray
+    processes: np.ndarray
+    new_states: np.ndarray
+    offsets: np.ndarray
+    initial_states: np.ndarray  # (members, processes)
+    t_end: float
+
+    def __post_init__(self):
+        for name, dtype in (("times", float), ("processes", np.int16),
+                            ("new_states", np.int16), ("offsets", np.int64),
+                            ("initial_states", np.int16)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        _check_times(self.times, self.offsets, self.t_end)
+        if (self.new_states < 0).any() or (self.initial_states < 0).any():
+            raise ValueError("local states must be non-negative")
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, k: int | slice) -> Trajectory | Ensemble:
+        """Member k as a trajectory, or a slice of members as an ensemble."""
+        if isinstance(k, slice):
+            lo, hi, step = k.indices(len(self))
+            if step != 1:
+                raise ValueError("an ensemble slice takes consecutive members")
+            hi = max(lo, hi)
+            a, b = self.offsets[lo], self.offsets[hi]
+            return Ensemble(self.times[a:b], self.processes[a:b], self.new_states[a:b],
+                            self.offsets[lo:hi + 1] - a, self.initial_states[lo:hi],
+                            self.t_end)
+        k = range(len(self))[k]
+        a, b = self.offsets[k], self.offsets[k + 1]
+        return Trajectory(tuple(self.initial_states[k].tolist()), self.times[a:b],
+                          self.processes[a:b], self.new_states[a:b], self.t_end)
+
+    def __iter__(self) -> Iterator[Trajectory]:
+        return map(self.__getitem__, range(len(self)))
+
+    @property
+    def event_count(self) -> int:
+        return int(self.times.size)
+
+    @classmethod
+    def from_trajectories(cls, trajectories: Iterable[Trajectory]) -> Ensemble:
+        """Pack trajectories (of one model) into one ensemble; an ensemble
+        passes through unchanged."""
+        if isinstance(trajectories, Ensemble):
+            return trajectories
+        trajs = list(trajectories)
+        empty = np.empty(0)
+        return cls(
+            np.concatenate([t.times for t in trajs] or [empty]),
+            np.concatenate([t.processes for t in trajs] or [empty]),
+            np.concatenate([t.new_states for t in trajs] or [empty]),
+            np.cumsum([0] + [t.event_count for t in trajs]),
+            np.array([t.initial_state for t in trajs]).reshape(len(trajs), -1 if trajs else 0),
+            max((t.t_end for t in trajs), default=0.0),
+        )
 
 
-def _compile(model: CtbnModel) -> _Tables:
-    require_valid(model)
-    rows = []
-    for j, cim in enumerate(model.cims):
-        per_config = []
-        for cfg in range(cim.parent_config_count):
-            per_local = []
-            for local in range(model.cardinalities[j]):
-                raw = cim.matrices[cfg][local]
-                targets = tuple(s for s in range(model.cardinalities[j])
-                                if s != local and raw[s] > 0.0)
-                rates = [float(raw[s]) for s in targets]
-                exit_rate = float(sum(rates))
-                cum = []
-                acc = 0.0
-                for r in rates:
-                    acc += r
-                    cum.append(acc)
-                per_local.append((exit_rate, targets, tuple(cum)))
-            per_config.append(tuple(per_local))
-        rows.append(tuple(per_config))
-    affected = tuple(
-        tuple(sorted({j, *model.children_indices[j]})) for j in range(model.process_count)
-    )
-    initial_cum = None
-    if model.initial_distribution is not None:
-        cums = np.cumsum(model.initial_distribution).tolist()
-        states = itertools.product(*(range(c) for c in model.cardinalities))
-        initial_cum = tuple(zip(cums, states))
-    return _Tables(
-        n=model.process_count,
-        parents=model.parent_indices,
-        pmults=model.parent_multipliers,
-        rows=tuple(rows),
-        affected=affected,
-        initial_state=model.initial_state,
-        initial_cum=initial_cum,
-    )
+# -- the counter-based stream ----------------------------------------------------
+
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _exponential(rng: random.Random, rate: float) -> float:
-    if rate <= 0.0:
-        return inf
-    u = rng.random()
-    while u <= 0.0:  # keep waiting times strictly positive
-        u = rng.random()
-    return -log(u) / rate
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 avalanche of :func:`_splitmix64` after its increment, in place."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
-def _draw_initial(tables: _Tables, rng: random.Random) -> list[int]:
-    if tables.initial_state is not None:
-        return list(tables.initial_state)
-    u = rng.random()
-    for cum, state in tables.initial_cum:
-        if u < cum:
-            return list(state)
-    return list(tables.initial_cum[-1][1])
+def _stream(keys: np.ndarray, draws: Sequence[int]) -> np.ndarray:
+    """Outputs `draws` (counted from 0) of the SplitMix64 generator seeded with
+    each key, one row per key: ``_splitmix64(key + draw * GAMMA)`` in wrapping
+    uint64 arithmetic."""
+    return _mix(keys[:, None] + (np.asarray(draws, dtype=np.uint64) + np.uint64(1)) * _GAMMA)
 
 
-def _run_events(tables: _Tables, values: list[int], t_end: float,
-                rng: random.Random) -> list[tuple[float, int, int]]:
-    """Core competing-clocks loop; mutates `values` to the final state."""
-    n = tables.n
-    if n == 0:
-        return []
-    rows = tables.rows
-    parents = tables.parents
-    pmults = tables.pmults
-    affected = tables.affected
-
-    current = [None] * n
-    clocks = [0.0] * n
-    for j in range(n):
-        cfg = 0
-        for p, m in zip(parents[j], pmults[j]):
-            cfg += values[p] * m
-        row = rows[j][cfg][values[j]]
-        current[j] = row
-        clocks[j] = _exponential(rng, row[0])
-
-    out: list[tuple[float, int, int]] = []
-    append = out.append
-    rand = rng.random
-    while True:
-        j = 0
-        best = clocks[0]
-        for i in range(1, n):  # ties resolve to the lowest process index
-            c = clocks[i]
-            if c < best:
-                best = c
-                j = i
-        if best > t_end:
-            return out
-        exit_rate, targets, cum = current[j]
-        if len(targets) == 1:
-            s = targets[0]
-        else:
-            u = rand() * exit_rate
-            s = targets[-1]
-            for k, threshold in enumerate(cum):
-                if u < threshold:
-                    s = targets[k]
-                    break
-        values[j] = s
-        append((best, j, s))
-        for i in affected[j]:
-            cfg = 0
-            for p, m in zip(parents[i], pmults[i]):
-                cfg += values[p] * m
-            row = rows[i][cfg][values[i]]
-            current[i] = row
-            clocks[i] = best + _exponential(rng, row[0])
+def _uniforms(keys: np.ndarray, draws: Sequence[int]) -> np.ndarray:
+    """The `draws` of every key's stream as float64 in [0, 1): their top 53 bits."""
+    return (_stream(keys, draws) >> np.uint64(11)) * 2.0 ** -53
 
 
-def _to_trajectory(initial: Sequence[int], raw: list[tuple[float, int, int]],
-                   t_end: float) -> Trajectory:
-    if raw:
-        times = np.fromiter((e[0] for e in raw), dtype=float, count=len(raw))
-        procs = np.fromiter((e[1] for e in raw), dtype=np.int16, count=len(raw))
-        states = np.fromiter((e[2] for e in raw), dtype=np.int16, count=len(raw))
-    else:
-        times = np.empty(0, dtype=float)
-        procs = np.empty(0, dtype=np.int16)
-        states = np.empty(0, dtype=np.int16)
-    return Trajectory(tuple(initial), times, procs, states, float(t_end))
+def _member_keys(base: int, ks: range) -> np.ndarray:
+    """``derive_seed(*path, k)`` for every k in `ks`, where ``base = derive_seed(*path)``:
+    output k + 1 of the SplitMix64 generator seeded with `base`."""
+    return _mix(np.arange(ks.start + 2, ks.stop + 2, dtype=np.uint64) * _GAMMA
+                + np.uint64(base))
+
+
+# -- the engine -------------------------------------------------------------------
+
+
+def _initial_states(model: CtbnModel, keys: np.ndarray,
+                    initial: Sequence[int] | None) -> np.ndarray:
+    """One start state per key: `initial`, else the model's initial state, else
+    a draw from its initial distribution by draw 0."""
+    if initial is None and model.initial_state is None:
+        cum = np.cumsum(model.initial_distribution)
+        index = np.minimum(np.searchsorted(cum, _uniforms(keys, [0])[:, 0], side="right"),
+                           model.state_count - 1)
+        return index[:, None] // model.state_multipliers % model.cardinalities
+    state = model.initial_state if initial is None else initial
+    state_index(state, model)  # range check
+    return np.tile(np.asarray(state, dtype=np.int64), (keys.size, 1))
+
+
+def _steps(table: RateTable, keys: np.ndarray, start: np.ndarray,
+           t_end: float) -> Iterator[tuple[np.ndarray, ...]]:
+    """Advance every trajectory one event per step until all have passed ``t_end``.
+
+    Yields, per step i, the members still running (ascending) and the time,
+    process and new local state of their event i.
+    """
+    n = start.shape[1]
+    width = table.rates.shape[1]
+    live = np.arange(keys.size, dtype=np.int32)
+    x = start.astype(np.int64)
+    rows = x @ table.weights + table.offsets
+    t = np.zeros(keys.size)
+    draw = 1
+    while live.size and n:
+        cum = table.rates.take(rows, axis=0).reshape(live.size, -1).cumsum(axis=1)
+        total = cum[:, -1]
+        u = _uniforms(keys, (draw, draw + 1))  # holding time, transition
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = t - np.log1p(-u[:, 0]) / total
+        ok = t <= t_end  # false past the horizon and where no process can move
+        if not ok.all():
+            live, keys, x, rows, t, cum, total, u = (
+                a[ok] for a in (live, keys, x, rows, t, cum, total, u))
+        # the first candidate whose cumulative rate exceeds u * total; the cap
+        # keeps a u * total that rounds up to total on the last positive rate
+        target = np.minimum(u[:, 1] * total, np.nextafter(total, 0.0))
+        pick = np.count_nonzero(cum <= target[:, None], axis=1).astype(np.int32)
+        j, s = np.divmod(pick, np.int32(width))
+        at = np.arange(live.size)
+        rows += (s - x[at, j])[:, None] * table.weights[j]
+        x[at, j] = s
+        yield live, t, j, s
+        draw += 2
+
+
+def _sample(model: CtbnModel, keys: np.ndarray, initial: Sequence[int] | None,
+            t_end: float) -> Ensemble:
+    """One trajectory per key, packed into an ensemble."""
+    table = model.rate_table
+    start = _initial_states(model, keys, initial)
+    counts = np.zeros(keys.size, dtype=np.int64)
+    steps = []
+    for i, (live, t, j, s) in enumerate(_steps(table, keys, start, t_end)):
+        counts[live] = i + 1
+        steps.append((t, j.astype(np.int16), s.astype(np.int16)))
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    times = np.empty(offsets[-1])
+    processes = np.empty(offsets[-1], dtype=np.int16)
+    new_states = np.empty(offsets[-1], dtype=np.int16)
+    for i, (t, j, s) in enumerate(steps):
+        # event i of every member still running at step i
+        at = offsets[:-1][counts > i] + i
+        times[at], processes[at], new_states[at] = t, j, s
+        steps[i] = None
+    return Ensemble(times, processes, new_states, offsets, start, float(t_end))
 
 
 def sample_trajectory(model: CtbnModel, initial: Sequence[int] | None,
                       t_end: float, seed: int) -> Trajectory:
     """One trajectory from `initial` (default: the model's initial condition)."""
     _check_horizon(t_end)
-    tables = _compile(model)
-    return _sample_one(model, tables, initial, t_end, seed)
-
-
-def _sample_one(model: CtbnModel, tables: _Tables, initial, t_end, seed) -> Trajectory:
-    rng = random.Random(seed)
-    if initial is None:
-        values = _draw_initial(tables, rng)
-    else:
-        state_index(initial, model)  # range check
-        values = [int(v) for v in initial]
-    start = tuple(values)
-    raw = _run_events(tables, values, float(t_end), rng)
-    return _to_trajectory(start, raw, t_end)
+    return _sample(model, np.array([seed & _MASK64], dtype=np.uint64), initial, t_end)[0]
 
 
 def sample_ensemble(model: CtbnModel, initial: Sequence[int] | None,
-                    config: SimulationConfig) -> list[Trajectory]:
-    """Independent trajectories; member k is seeded with derive_seed(master, k)."""
-    tables = _compile(model)
-    return [
-        _sample_one(model, tables, initial, config.t_end,
-                    derive_seed(config.master_seed, k))
-        for k in range(config.trajectory_count)
-    ]
+                    config: SimulationConfig) -> Ensemble:
+    """Independent trajectories; member k is keyed by derive_seed(master, k)."""
+    keys = _member_keys(derive_seed(config.master_seed), range(config.trajectory_count))
+    return _sample(model, keys, initial, config.t_end)
 
 
 def state_at(trajectory: Trajectory, t: float) -> tuple[int, ...]:
@@ -330,23 +373,68 @@ def _write_rows(w, trajectory: Trajectory, names: Sequence[str], prefix: tuple) 
         w.writerow([*prefix, format_float(t), names[p], s])
 
 
-def _rows_to_trajectory(rows: list[tuple[float, str, int]], name_order: list[str],
-                        t_end: float | None, where: str) -> Trajectory:
-    name_to_idx = {n: i for i, n in enumerate(name_order)}
-    initial = [0] * len(name_order)
-    events: list[tuple[float, int, int]] = []
-    try:
-        for t, name, s in rows:
-            if t == 0.0:
-                initial[name_to_idx[name]] = s
-            else:
-                events.append((t, name_to_idx[name], s))
-    except KeyError as exc:
+def _read_columns(path, header: list[str]) -> tuple[np.ndarray, list[str]]:
+    """Parse a CSV whose header starts with `header` column by column.
+
+    Returns a structured array with one field per column, the process column
+    holding codes into the returned list of process names (in order of first
+    appearance).
+    """
+    names: dict[str, int] = {}
+    dtype = [(h, "f8" if h == "time" else "i8") for h in header]
+    with open(path) as fh:
+        found = next(csv.reader(fh), [])
+        if found[:len(header)] != header:
+            raise ValueError(f"unexpected CSV header {found}, expected {header}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header alone holds no rows
+            rows = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=1,
+                              dtype=dtype, converters={
+                                  header.index("process"):
+                                      lambda name: names.setdefault(name, len(names))})
+    return rows, list(names)
+
+
+def _to_ensemble(members: np.ndarray, rows: np.ndarray, names: list[str],
+                 t_end: float | None, where) -> tuple[Ensemble, list[str]]:
+    """Build an ensemble from parsed CSV rows (see :func:`_read_columns`),
+    member ids given per row.
+
+    Rows at time 0.0 declare initial states, the others are events.  Members
+    are ordered by id, rows within a member keep their file order, and the
+    process order is that of the first member's time-0 rows.  ``where(id)``
+    names a member in error messages.
+    """
+    order = np.argsort(members, kind="stable")
+    members, times, code, local = (a[order] for a in (members, rows["time"], rows["process"],
+                                                      rows["state"]))
+    zero = times == 0.0
+    first = list(dict.fromkeys(code[zero & (members == members[:1])].tolist()))
+    declared = [names[c] for c in first]
+    process = np.full(len(names), -1, dtype=np.int64)
+    process[first] = np.arange(len(first))
+    process = process[code]
+    undeclared = np.flatnonzero(process < 0)
+    if undeclared.size:
+        row = undeclared[0]
         raise ValueError(
-            f"process {exc.args[0]!r} in {where} is not declared by a time-0 row "
-            f"(declared: {', '.join(name_order)})") from None
-    end = t_end if t_end is not None else (events[-1][0] if events else 0.0)
-    return _to_trajectory(initial, events, end)
+            f"process {names[code[row]]!r} in {where(members[row])} is not declared "
+            f"by a time-0 row (declared: {', '.join(declared)})")
+    ids, member = np.unique(members, return_inverse=True)
+    if ((local < 0) | (local > np.iinfo(np.int16).max)).any():
+        raise ValueError(f"local states must be in [0, {np.iinfo(np.int16).max}]")
+    initial = np.zeros((ids.size, len(declared)), dtype=np.int64)
+    seen = np.zeros(initial.shape, dtype=bool)
+    initial[member[zero], process[zero]] = local[zero]  # a later row wins
+    seen[member[zero], process[zero]] = True
+    if not seen.all():
+        k, j = np.argwhere(~seen)[0]
+        raise ValueError(f"process {declared[j]!r} has no time-0 row in {where(ids[k])}")
+    events = ~zero
+    offsets = np.searchsorted(member[events], np.arange(ids.size + 1))
+    end = t_end if t_end is not None else float(times[events].max(initial=0.0))
+    return Ensemble(times[events], process[events], local[events], offsets, initial,
+                    end), declared
 
 
 def read_trajectory_csv(path, t_end: float | None = None) -> tuple[Trajectory, list[str]]:
@@ -355,31 +443,20 @@ def read_trajectory_csv(path, t_end: float | None = None) -> tuple[Trajectory, l
     Process order is taken from the time-0.0 initial rows.  ``t_end``
     defaults to the last event time (the CSV does not carry the horizon).
     """
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if header[:3] != ["time", "process", "state"]:
-            raise ValueError(f"unexpected trajectory CSV header: {header}")
-        rows = [(float(t), name, int(s)) for t, name, s in r]
-    names = [name for t, name, _ in rows if t == 0.0]
-    return _rows_to_trajectory(rows, names, t_end, str(path)), names
+    rows, names = _read_columns(path, ["time", "process", "state"])
+    ensemble, declared = _to_ensemble(np.zeros(rows.size, dtype=np.int64), rows, names,
+                                      t_end, lambda k: str(path))
+    if not len(ensemble):  # a header alone: no process, no event
+        return Trajectory((), [], [], [], ensemble.t_end), declared
+    return ensemble[0], declared
 
 
-def read_ensemble_csv(path, t_end: float | None = None) -> tuple[list[Trajectory], list[str]]:
-    """Load a concatenated ensemble CSV; returns (trajectories, process names)."""
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if header[:4] != ["trajectory_id", "time", "process", "state"]:
-            raise ValueError(f"unexpected ensemble CSV header: {header}")
-        groups: dict[int, list[tuple[float, str, int]]] = {}
-        for tid, t, name, s in r:
-            groups.setdefault(int(tid), []).append((float(t), name, int(s)))
-    if not groups:
-        return [], []
-    first = groups[min(groups)]
-    names = [name for t, name, _ in first if t == 0.0]
-    return [
-        _rows_to_trajectory(groups[tid], names, t_end, f"trajectory {tid}")
-        for tid in sorted(groups)
-    ], names
+def read_ensemble_csv(path, t_end: float | None = None) -> tuple[Ensemble, list[str]]:
+    """Load a concatenated ensemble CSV; returns (ensemble, process names).
+
+    Members are ordered by trajectory id; ``t_end`` defaults to the last event
+    time in the file.
+    """
+    rows, names = _read_columns(path, ["trajectory_id", "time", "process", "state"])
+    return _to_ensemble(rows["trajectory_id"], rows, names, t_end,
+                        lambda k: f"trajectory {k}")

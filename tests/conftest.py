@@ -32,8 +32,8 @@ def no_sampling(monkeypatch):
     """Make any trajectory sampling fail, so a check must come before it."""
     def forbidden(*args):
         raise AssertionError("sampled before validating")
-    monkeypatch.setattr(sentry_module, "_run_events", forbidden)
-    monkeypatch.setattr(simulate_module, "_run_events", forbidden)
+    monkeypatch.setattr(sentry_module, "_steps", forbidden)
+    monkeypatch.setattr(simulate_module, "_steps", forbidden)
 
 
 @pytest.fixture(scope="session")

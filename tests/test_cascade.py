@@ -1,4 +1,6 @@
+import csv
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,7 +26,9 @@ from ctbn_sentry import (
     write_cascade_report,
     write_naive_scores_report,
 )
-from ctbn_sentry.cascade import NaiveScores, _fast_runs, suggested_min_cascade_length
+from ctbn_sentry import cascade as cascade_module
+from ctbn_sentry.cascade import NaiveScores, suggested_min_cascade_length
+from ctbn_sentry.simulate import format_float
 
 from conftest import make_random_model
 
@@ -189,14 +193,53 @@ def test_single_cascade_single_count():
     assert scores.count((1, 0, 0)) == 1
 
 
-# -- the one state replay against the replays it replaced -------------------------------
-# Before `identify_cascades` and `naive_scores` shared `_states`, each replayed
-# the events itself: the first up to each run start, the second with a
-# start pointer walked alongside the events.  Both are kept here as references.
+# -- the array scan against the per-trajectory replays it replaced ----------------------
+# `naive_scores` and `identify_cascades` work on the ensemble's arrays.  Before,
+# they replayed each trajectory's events into state tuples: first each on its own
+# (the first up to each run start, the second with a start pointer walked alongside
+# the events), then both through one `_states` replay counted with `Counter`s.
+# All three are kept here as references, on the old per-trajectory run detection.
+
+
+def reference_fast_runs(times, params):
+    n = times.size
+    if n < 2:
+        return []
+    fast = np.empty(n, dtype=bool)
+    fast[0] = False
+    np.less(np.diff(times), params.fast_threshold, out=fast[1:])
+    if not fast.any():
+        return []
+    prev = np.concatenate(([False], fast[:-1]))
+    nxt = np.concatenate((fast[1:], [False]))
+    starts = np.flatnonzero(fast & ~prev)
+    ends = np.flatnonzero(fast & ~nxt)
+    return [(int(a), int(b)) for a, b in zip(starts, ends)
+            if b - a + 1 >= params.min_cascade_length]
+
+
+def reference_states(trajectory):
+    values = list(trajectory.initial_state)
+    states = [tuple(values)]
+    for proc, new in zip(trajectory.processes.tolist(), trajectory.new_states.tolist()):
+        values[proc] = new
+        states.append(tuple(values))
+    return states
+
+
+def reference_counter_scores(trajectories, params):
+    counts, visits, total = Counter(), Counter(), 0
+    for traj in trajectories:
+        states = reference_states(traj)
+        visits.update(states)
+        launched = [states[a] for a, _ in reference_fast_runs(traj.times, params)]
+        counts.update(launched)
+        total += len(launched)
+    return NaiveScores(dict(counts), dict(visits), total)
 
 
 def reference_identify_cascades(trajectory, params):
-    runs = _fast_runs(trajectory.times, params)
+    runs = reference_fast_runs(trajectory.times, params)
     if not runs:
         return []
     procs = trajectory.processes.tolist()
@@ -220,7 +263,7 @@ def reference_naive_scores(trajectories, params):
         visits = acc.visits
         counts = acc.counts
         visits[key] = visits.get(key, 0) + 1  # the initial state counts as an entry
-        starts = [a for a, _ in _fast_runs(trajectory.times, params)]
+        starts = [a for a, _ in reference_fast_runs(trajectory.times, params)]
         acc.total_cascades += len(starts)
         procs = trajectory.processes.tolist()
         states = trajectory.new_states.tolist()
@@ -248,8 +291,8 @@ def test_replay_matches_reference_implementations():
         rng = random.Random(seed)
         model = make_random_model(rng, max_states=36)
         non_binary += max(model.cardinalities) > 2
-        ensemble = sample_ensemble(model, None,
-                                   SimulationConfig(rng.uniform(5.0, 30.0), 25, seed))
+        ensemble = list(sample_ensemble(model, None,
+                                        SimulationConfig(rng.uniform(5.0, 30.0), 25, seed)))
         # trajectories with no event and with one event
         ensemble += [_first_events(ensemble[0], 0), _first_events(ensemble[1], 1)]
         median = default_fast_threshold(ensemble)
@@ -257,16 +300,50 @@ def test_replay_matches_reference_implementations():
             for mcl in (2, 3, 4):
                 params = NaiveParams(threshold, mcl)
                 got = naive_scores(ensemble, params)
-                want = reference_naive_scores(ensemble, params)
-                assert got.counts == want.counts
-                assert got.visits == want.visits
-                assert got.total_cascades == want.total_cascades
+                for want in (reference_naive_scores(ensemble, params),
+                             reference_counter_scores(ensemble, params)):
+                    assert got.counts == want.counts
+                    assert got.visits == want.visits
+                    assert got.total_cascades == want.total_cascades
                 assert type(got.counts) is dict and type(got.visits) is dict
                 for traj in ensemble:
                     windows = [(w.first_event_index, w.last_event_index, w.sentry_state)
                                for w in identify_cascades(traj, params)]
                     assert windows == reference_identify_cascades(traj, params)
     assert non_binary >= 2
+
+
+@pytest.mark.parametrize("part_events", [1, 7, 1 << 16])
+@pytest.mark.parametrize("n, card", [(3, 2), (70, 2), (40, 3)])
+def test_scan_in_parts_and_wide_states_match_reference(n, card, part_events, monkeypatch,
+                                                       tmp_path):
+    # small parts split the ensemble between and after members; 70 binary or 40
+    # ternary processes overflow one int64 state code, so codes span columns
+    monkeypatch.setattr(cascade_module, "_PART_EVENTS", part_events)
+    rng = np.random.default_rng(n * card)
+    ensemble = []
+    for size in (0, 1, 12, 30, 2, 45, 0, 9):
+        times = np.cumsum(rng.uniform(0.05, 1.5, size))
+        ensemble.append(Trajectory(tuple(rng.integers(0, card, n).tolist()), times,
+                                   rng.integers(0, n, size), rng.integers(0, card, size),
+                                   float(times[-1]) if size else 0.0))
+    for threshold, mcl in ((0.5, 2), (1.0, 2), (1.0, 3)):
+        params = NaiveParams(threshold, mcl)
+        got = naive_scores(ensemble, params)
+        want = reference_counter_scores(ensemble, params)
+        assert (got.counts, got.visits, got.total_cascades) == (
+            want.counts, want.visits, want.total_cascades)
+        rows = []
+        for k, traj in enumerate(ensemble):
+            windows = reference_identify_cascades(traj, params)
+            assert [(w.first_event_index, w.last_event_index, w.sentry_state)
+                    for w in identify_cascades(traj, params)] == windows
+            rows += [[str(k), format_float(traj.times[a]), format_float(traj.times[b]),
+                      str(b - a + 1), "".join(map(str, x))] for a, b, x in windows]
+        path = tmp_path / "cascades.csv"
+        write_cascade_report(path, ensemble, params)
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh))[1:] == rows
 
 
 # -- thresholds --------------------------------------------------------------------------

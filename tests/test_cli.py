@@ -215,7 +215,10 @@ BAD_TIMES = "event times must be finite, positive and strictly increasing"
      "process 'C' in {path} is not declared by a time-0 row (declared: A, B)"),
     ("time,process,state\n0.0,A,0\n1.0,A,1\nnan,A,0\n", BAD_TIMES),
     ("trajectory_id,time,process,state\n0,0.0,A,0\n0,inf,A,1\n", BAD_TIMES),
-], ids=["ensemble-undeclared", "single-undeclared", "single-nan", "ensemble-inf"])
+    ("trajectory_id,time,process,state\n0,0.0,A,0\n0,0.0,B,0\n1,0.0,A,1\n1,1.0,B,1\n",
+     "process 'B' has no time-0 row in trajectory 1"),
+], ids=["ensemble-undeclared", "single-undeclared", "single-nan", "ensemble-inf",
+        "ensemble-missing-initial"])
 def test_cascades_bad_trajectory_csv(tmp_path, capsys, text, message):
     log = tmp_path / "log.csv"
     log.write_text(text)

@@ -220,6 +220,29 @@ def test_local_rate_ignores_non_parents(chain3):
             assert local_rate(chain3, "A", (0, b, c)).tolist() == [-1.0, 1.0]
 
 
+def test_rate_table_rows_are_local_rates():
+    # every (process, joint state) row the sampler reads is that process's CIM
+    # row under the state's parent configuration, diagonal zeroed
+    for seed in range(6):
+        model = make_random_model(random.Random(seed), max_states=24)
+        table = model.rate_table
+        assert model.rate_table is table  # built once per model
+        for x in enumerate_states(model):
+            rows = table.offsets + np.asarray(x) @ table.weights
+            for j, c in enumerate(model.cardinalities):
+                want = local_rate(model, j, x).copy()
+                want[x[j]] = 0.0
+                assert table.rates[rows[j], :c].tolist() == want.tolist()
+                assert not table.rates[rows[j], c:].any()
+
+
+def test_rate_table_validates(chain3):
+    bad = CtbnModel(chain3.processes, chain3.cims[:2] + (Cim([[[-1.0, 2.0], [1.0, -1.0]]]),),
+                    initial_state=(0, 0, 0))
+    with pytest.raises(InvalidModelError):
+        bad.rate_table
+
+
 # -- amalgamation ----------------------------------------------------------------
 
 

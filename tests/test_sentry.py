@@ -23,6 +23,7 @@ from ctbn_sentry import (
     stopping_rule_ednt,
     write_sentry_report,
 )
+from ctbn_sentry import model as model_module
 from conftest import independent_togglers, make_random_model, toggler_model, zero_rate_model
 
 # Reference table for the chain3 rates: per-state discounted transition
@@ -433,7 +434,7 @@ def test_stopping_rule_validates_epsilon():
 
 
 @pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan])
-def test_stopping_rule_validates_alpha(alpha):
+def test_stopping_rule_validates_alpha(alpha, no_sampling):
     with pytest.raises(ValueError, match="alpha must be positive"):
         stopping_rule_ednt(toggler_model(), (0,), alpha, 5.0, 0.5, batch=10, cap=10, seed=1)
 
@@ -450,6 +451,18 @@ def test_ednt_mc_validates_alpha(alpha, no_sampling):
         ednt_mc(toggler_model(), alpha, SimulationConfig(5.0, 10, 1))
 
 
+def test_ednt_mc_validates_the_model_once(chain3, monkeypatch):
+    model = CtbnModel(chain3.processes, chain3.cims, initial_state=(0, 0, 0))  # nothing cached
+    calls = []
+    real = model_module.validate_model
+    monkeypatch.setattr(model_module, "validate_model",
+                        lambda m, *args: calls.append(m) or real(m, *args))
+    table = ednt_mc(model, 0.3, SimulationConfig(2.0, 20, 1),
+                    states=[(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+    assert len(table) == 3
+    assert calls == [model]
+
+
 BAD_INITIAL = pytest.mark.parametrize("initial, message", [
     ((1, 1), "state has 2 entries, model has 1 processes"),
     ((5,), "local state 5 out of range for cardinality 2"),
@@ -457,13 +470,13 @@ BAD_INITIAL = pytest.mark.parametrize("initial, message", [
 
 
 @BAD_INITIAL
-def test_stopping_rule_validates_initial(initial, message):
+def test_stopping_rule_validates_initial(initial, message, no_sampling):
     with pytest.raises(ValueError, match=message):
         stopping_rule_ednt(toggler_model(), initial, 0.5, 5.0, 0.5, batch=10, cap=10, seed=1)
 
 
 @BAD_INITIAL
-def test_discounted_reward_mc_validates_initial(initial, message):
+def test_discounted_reward_mc_validates_initial(initial, message, no_sampling):
     with pytest.raises(ValueError, match=message):
         discounted_reward_mc(toggler_model(), initial, RewardSpec(0.5),
                              SimulationConfig(5.0, 10, 1))
@@ -471,24 +484,24 @@ def test_discounted_reward_mc_validates_initial(initial, message):
 
 # -- pinned Monte Carlo streams ------------------------------------------------------
 # One stream contract: trajectory k of every Monte Carlo estimate from state x is
-# seeded with derive_seed(seed, state_index(x), k).  The ednt_mc pin predates the
-# contract (it was already ednt_mc's seeding); the stopping-rule and
-# discounted_reward_mc pins were recorded when they adopted it.
+# keyed by derive_seed(seed, state_index(x), k).  The pins were recorded when the
+# batched engine, with its counter-based SplitMix64 draws, replaced the
+# per-trajectory competing-clocks sampler.
 
 
 def test_ednt_mc_stream_pinned():
     table = ednt_mc(toggler_model(2.0, 3.0), 0.5, SimulationConfig(4.0, 50, 7))
     assert table.state_indices.tolist() == [0, 1]
     assert table.estimates.tolist() == pytest.approx(
-        [4.209301159288154, 4.456286799725221], rel=1e-12)
+        [3.644508134108857, 4.146203148991033], rel=1e-12)
     assert table.stderrs.tolist() == pytest.approx(
-        [0.2288151805661466, 0.18706083145190788], rel=1e-12)
+        [0.2179850389519945, 0.2306235924858461], rel=1e-12)
     assert table.trajectory_counts.tolist() == [50, 50]
 
 
 @pytest.mark.parametrize("epsilon, batch, cap, expected", [
-    (0.05, 20, 2000, (4.229130408247697, 0.10327853558782887, 220, "halfwidth")),
-    (0.001, 30, 90, (4.33968964529267, 0.15830611501726713, 90, "cap")),
+    (0.05, 20, 2000, (4.349813564289043, 0.10630687464715578, 220, "halfwidth")),
+    (0.001, 30, 90, (4.623616395413057, 0.17182075374175854, 90, "cap")),
 ])
 def test_stopping_rule_stream_pinned(epsilon, batch, cap, expected):
     res = stopping_rule_ednt(toggler_model(2.0, 3.0), (1,), 0.5, 4.0, epsilon,
@@ -500,10 +513,10 @@ def test_stopping_rule_stream_pinned(epsilon, batch, cap, expected):
 
 
 @pytest.mark.parametrize("reward, expected", [
-    (RewardSpec(0.3), (13.647939276159144, 0.800859439890173)),
+    (RewardSpec(0.3), (13.579604624151179, 0.6500983147625164)),
     (RewardSpec(0.3, lump_sum=lambda x, y: 1.0 + sum(y),
                 instantaneous=lambda x: 0.5 * x[2]),
-     (32.80204107615519, 2.09237267096151)),
+     (32.47447381496496, 1.7813539281792192)),
 ], ids=["counting", "general"])
 def test_discounted_reward_mc_stream_pinned(chain3, reward, expected):
     mean, se = discounted_reward_mc(chain3, (1, 0, 0), reward, SimulationConfig(6.0, 40, 3))
@@ -516,7 +529,7 @@ def test_three_estimators_share_one_stream(chain3):
     res = stopping_rule_ednt(chain3, (1, 0, 0), 0.3, 20.0, None, cap=300, seed=5)
     reward = discounted_reward_mc(chain3, (1, 0, 0), RewardSpec(0.3), config)
     assert (table.estimates[0], table.stderrs[0]) == (res.estimate, res.stderr) == reward
-    assert reward == pytest.approx((16.571684199054154, 0.274394051985436), rel=1e-12)
+    assert reward == pytest.approx((16.72446926179005, 0.24198924306259864), rel=1e-12)
     assert table.trajectory_counts.tolist() == [300]
     assert (res.trajectories_used, res.stopped_by) == (300, "cap")
 

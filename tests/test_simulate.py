@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from ctbn_sentry import (
+    CtbnModel,
+    Ensemble,
     SimulationConfig,
     Trajectory,
     amalgamate,
@@ -19,6 +21,7 @@ from ctbn_sentry import (
     write_ensemble_csv,
     write_trajectory_csv,
 )
+from ctbn_sentry.simulate import _MASK64, _member_keys, _splitmix64, _stream
 from conftest import make_random_model, toggler_model, zero_rate_model
 
 
@@ -61,6 +64,36 @@ def test_ensemble_matches_single_draws(chain3):
         solo = sample_trajectory(chain3, (0, 0, 0), 10.0, derive_seed(123, k))
         assert np.array_equal(traj.times, solo.times)
         assert np.array_equal(traj.processes, solo.processes)
+        assert np.array_equal(traj.new_states, solo.new_states)
+
+
+def test_ensemble_member_is_its_own_draw(chain3):
+    # member k depends on (master, k) alone: not on the ensemble's size, and
+    # an initial state drawn from the model's distribution is drawn the same way
+    dist = np.full(8, 1 / 8)
+    spread = CtbnModel(chain3.processes, chain3.cims, initial_distribution=dist)
+    for model, initial in ((chain3, (0, 1, 0)), (spread, None)):
+        big = sample_ensemble(model, initial, SimulationConfig(15.0, 40, 77))
+        small = sample_ensemble(model, initial, SimulationConfig(15.0, 3, 77))
+        for k in (0, 2, 39):
+            solo = sample_trajectory(model, initial, 15.0, derive_seed(77, k))
+            for member in (big[k], small[k]) if k < 3 else (big[k],):
+                assert member.initial_state == solo.initial_state
+                assert np.array_equal(member.times, solo.times)
+                assert np.array_equal(member.processes, solo.processes)
+                assert np.array_equal(member.new_states, solo.new_states)
+    assert len({t.initial_state for t in big}) > 1
+
+
+def test_stream_matches_scalar_splitmix64():
+    rng = random.Random(5)
+    keys = [0, 1, _MASK64, derive_seed(3, 4)] + [rng.getrandbits(64) for _ in range(60)]
+    for counter in (0, 1, 2, 7, 1000, 2**40 + 3):
+        got = _stream(np.array(keys, dtype=np.uint64), [counter])[:, 0].tolist()
+        assert got == [_splitmix64((k + counter * 0x9E3779B97F4A7C15) & _MASK64) for k in keys]
+    # ensemble keys continue the stream of derive_seed(master) itself
+    assert _member_keys(derive_seed(9), range(2, 6)).tolist() == [
+        derive_seed(9, k) for k in range(2, 6)]
 
 
 def test_trajectory_invariants(chain3):
@@ -210,3 +243,135 @@ def test_ensemble_csv_round_trip(chain3, tmp_path):
     for a, b in zip(loaded, ensemble):
         assert np.array_equal(a.times, b.times)
         assert a.initial_state == b.initial_state
+
+
+def test_read_ensemble_csv_requires_every_initial_row(tmp_path):
+    path = tmp_path / "gap.csv"
+    path.write_text("trajectory_id,time,process,state\n0,0.0,A,0\n0,0.0,B,0\n"
+                    "1,0.0,A,1\n1,1.0,B,1\n")
+    with pytest.raises(ValueError, match="process 'B' has no time-0 row in trajectory 1"):
+        read_ensemble_csv(path)
+
+
+def test_read_ensemble_csv_orders_members_by_id(tmp_path):
+    # rows of one member need not be adjacent; members come back sorted by id
+    path = tmp_path / "mixed.csv"
+    path.write_text("trajectory_id,time,process,state\n7,0.0,A,0\n7,0.0,B,1\n"
+                    "3,0.0,A,1\n7,0.5,A,1\n3,0.0,B,0\n3,2.0,B,1\n7,0.9,B,0\n")
+    ensemble, names = read_ensemble_csv(path)
+    assert names == ["A", "B"]
+    assert [t.initial_state for t in ensemble] == [(1, 0), (0, 1)]
+    assert [t.times.tolist() for t in ensemble] == [[2.0], [0.5, 0.9]]
+    assert [t.processes.tolist() for t in ensemble] == [[1], [0, 1]]
+    assert ensemble.t_end == 2.0  # the last event time in the file
+
+
+def test_ensemble_views_and_slices(chain3):
+    ensemble = sample_ensemble(chain3, (0, 0, 0), SimulationConfig(8.0, 6, 3))
+    assert ensemble.event_count == sum(t.event_count for t in ensemble)
+    assert [t.event_count for t in ensemble[2:5]] == [t.event_count for t in ensemble][2:5]
+    packed = Ensemble.from_trajectories(list(ensemble))
+    for a, b in zip(packed, ensemble):
+        assert a.initial_state == b.initial_state
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a.new_states, b.new_states)
+    assert Ensemble.from_trajectories(ensemble) is ensemble
+    assert ensemble[-1].times.base is not None  # a view, not a copy
+    assert len(ensemble[4:2]) == 0
+    with pytest.raises(IndexError):
+        ensemble[6]
+    with pytest.raises(ValueError, match="consecutive"):
+        ensemble[::2]
+
+
+# -- the competing-clocks sampler the engine replaced, as a distributional reference ----
+
+
+def reference_clock_trajectory(model, initial, t_end, rng):
+    """Each process holds an exponential clock at its exit rate; the earliest
+    fires, and the fired process and its children redraw their clocks."""
+    values = list(initial)
+
+    def row(j):
+        cfg = sum(values[p] * m for p, m in zip(model.parent_indices[j],
+                                                 model.parent_multipliers[j]))
+        rates = model.cims[j].matrices[cfg][values[j]].copy()
+        rates[values[j]] = 0.0
+        return rates
+
+    def clock(now, j):
+        rate = row(j).sum()
+        return now + rng.expovariate(rate) if rate > 0 else math.inf
+
+    clocks = [clock(0.0, j) for j in range(model.process_count)]
+    events = []
+    while True:
+        j = min(range(model.process_count), key=clocks.__getitem__)
+        now = clocks[j]
+        if now > t_end:
+            return events
+        rates = row(j)
+        values[j] = rng.choices(range(len(rates)), weights=rates)[0]
+        events.append((now, j, values[j]))
+        for i in {j, *model.children_indices[j]}:
+            clocks[i] = clock(now, i)
+
+
+def _first_model_with_three_states():
+    seed = 0
+    while max(make_random_model(random.Random(seed), max_states=18).cardinalities) < 3:
+        seed += 1
+    return make_random_model(random.Random(seed), max_states=18)
+
+
+def _event_stats(model, runs):
+    """Event count per trajectory, and the completed holding times per joint state."""
+    counts, holds = [], {}
+    for initial, events in runs:
+        counts.append(len(events))
+        values, prev = list(initial), 0.0
+        for t, j, s in events:
+            holds.setdefault(state_index(values, model), []).append(t - prev)
+            values[j], prev = s, t
+    return np.array(counts, dtype=float), holds
+
+
+def _z(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+    return abs(a.mean() - b.mean()) / se
+
+
+@pytest.mark.parametrize("name", ["chain3", "three-state"])
+def test_engine_matches_clock_reference(name, chain3):
+    model = chain3 if name == "chain3" else _first_model_with_three_states()
+    n, t_end = 2000, 12.0
+    ensemble = sample_ensemble(model, None, SimulationConfig(t_end, n, 404))
+    engine = [(t.initial_state, list(t.iter_events())) for t in ensemble]
+    rng = random.Random(405)
+    reference = [(model.initial_state,
+                  reference_clock_trajectory(model, model.initial_state, t_end, rng))
+                 for _ in range(n)]
+    counts_e, holds_e = _event_stats(model, engine)
+    counts_r, holds_r = _event_stats(model, reference)
+    assert _z(counts_e, counts_r) < 4.0
+    checked = 0
+    for state in holds_e.keys() & holds_r.keys():
+        if min(len(holds_e[state]), len(holds_r[state])) >= 200:
+            assert _z(holds_e[state], holds_r[state]) < 4.0
+            checked += 1
+    assert checked >= 4
+
+
+def test_engine_transient_law_with_three_state_process():
+    model = _first_model_with_three_states()
+    n, t = 20_000, 1.5
+    ensemble = sample_ensemble(model, None, SimulationConfig(t, n, 606))
+    counts = np.zeros(model.state_count)
+    for traj in ensemble:
+        counts[state_index(state_at(traj, t), model)] += 1
+    p0 = np.zeros(model.state_count)
+    p0[state_index(model.initial_state, model)] = 1.0
+    expected = transient_distribution(amalgamate(model), p0, t)
+    se = np.sqrt(np.maximum(expected * (1 - expected), 1e-12) / n)
+    assert (np.abs(counts / n - expected) <= 4 * se).all()
