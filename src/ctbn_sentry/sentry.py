@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -24,19 +25,23 @@ from scipy.sparse.linalg import bicgstab
 from .model import (
     CtbnModel,
     DEFAULT_STATE_CAP,
+    RateTable,
     StateSpaceGraph,
-    active_alarm_count,
     intensity_matrix,
     low_activity_states,
     state_from_index,
     state_index,
 )
 from .simulate import (SimulationConfig, _check_horizon, _initial_states, _member_keys,
-                       _sample, _steps, derive_seed, format_float)
+                       _sample, _step_bytes, _steps, derive_seed, format_float)
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 BACKWARD_ERROR_TOL = 1e-14  # componentwise backward error the exact solve must reach
 MAX_REFINEMENTS = 8
+MC_BATCH = 200  # trajectories a state adds per round of the stopping rule
+# Live bytes one Monte Carlo engine call may hold (see simulate._step_bytes):
+# about 1 000 trajectories of a 13-process binary model.
+MC_CALL_BYTES = 1 << 20
 
 
 def _check_rate(name: str, value: float) -> None:
@@ -71,12 +76,16 @@ class EdntTable:
     """Per-state Monte Carlo estimates with standard errors.
 
     May cover a subset of the joint space (``state_indices`` says which).
+    ``stopped_by`` says why each state's sampling stopped, 'halfwidth' or
+    'cap' as in :class:`StoppingResult`; it is '' for a table built without
+    the stopping rule.
     """
 
     state_indices: np.ndarray
     estimates: np.ndarray
     stderrs: np.ndarray
     trajectory_counts: np.ndarray
+    stopped_by: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "state_indices", np.asarray(self.state_indices, dtype=int))
@@ -84,6 +93,8 @@ class EdntTable:
         object.__setattr__(self, "stderrs", np.asarray(self.stderrs, dtype=float))
         object.__setattr__(self, "trajectory_counts",
                            np.asarray(self.trajectory_counts, dtype=int))
+        stopped_by = [""] * len(self.state_indices) if self.stopped_by is None else self.stopped_by
+        object.__setattr__(self, "stopped_by", np.asarray(stopped_by, dtype=str))
 
     def __len__(self) -> int:
         return len(self.state_indices)
@@ -114,9 +125,14 @@ class RedntRanking:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
     @property
+    def positions(self) -> np.ndarray:
+        """Positions of the entries by REDNT descending, ties by index ascending."""
+        return np.lexsort((self.state_indices, -self.values))
+
+    @property
     def order(self) -> list[int]:
         """State indices sorted by REDNT descending, ties by index ascending."""
-        return self.state_indices[np.lexsort((self.state_indices, -self.values))].tolist()
+        return self.state_indices[self.positions].tolist()
 
     def value_of(self, index: int) -> float:
         pos = np.flatnonzero(self.state_indices == index)
@@ -128,22 +144,32 @@ class RedntRanking:
 # -- Monte Carlo discounted rewards ---------------------------------------------
 
 
-def _discounted_scores(model: CtbnModel, initial: Sequence[int], index: int, t_end: float,
-                       alpha: float, seed: int, ks: range,
-                       reward: RewardSpec | None = None) -> np.ndarray:
-    """One score per k in `ks`, from trajectory k out of `initial` (joint `index`),
-    keyed by derive_seed(seed, index, k): the one Monte Carlo stream contract.
+def _counting_scores(table: RateTable, keys: np.ndarray, start: np.ndarray, t_end: float,
+                     alpha: float) -> np.ndarray:
+    """Discounted transition count sum_i e^(-alpha t_i) of the trajectory with
+    each key from its row of `start`, in one engine run."""
+    scores = np.zeros(keys.size)
+    for live, t, _, _ in _steps(table, keys, start, t_end):
+        scores[live] += np.exp(-alpha * t)
+    return scores
 
-    A trajectory scores its discounted transition count, or the discounted
-    `reward` when that is not the counting one.
+
+def discounted_reward_mc(model: CtbnModel, initial: Sequence[int], reward: RewardSpec,
+                         config: SimulationConfig) -> tuple[float, float]:
+    """Sample mean and standard error of the discounted reward from one state.
+
+    Each trajectory scores sum_i e^(-alpha t_i) * lump(x_before, x_after)
+    plus the discounted time integral of the instantaneous reward, truncated
+    at the horizon.  Trajectory k is keyed by derive_seed(seed,
+    state_index(initial), k), the one Monte Carlo stream contract.
     """
-    keys = _member_keys(derive_seed(seed, index), ks)
-    if reward is None or reward.counts_transitions:
-        scores = np.zeros(keys.size)
-        start = _initial_states(model, keys, initial)
-        for live, t, _, _ in _steps(model.rate_table, keys, start, t_end):
-            scores[live] += np.exp(-alpha * t)
-        return scores
+    alpha, t_end = reward.discount, config.t_end
+    keys = _member_keys(derive_seed(config.master_seed, state_index(initial, model)),
+                        range(config.trajectory_count))
+    if reward.counts_transitions:
+        scores = _counting_scores(model.rate_table, keys, _initial_states(model, keys, initial),
+                                  t_end, alpha)
+        return float(scores.mean()), _stderr(scores)
     lump = reward.lump_sum or (lambda x, y: 1.0)
     inst = reward.instantaneous
     scores = []
@@ -162,20 +188,7 @@ def _discounted_scores(model: CtbnModel, initial: Sequence[int], index: int, t_e
         if inst is not None:  # close the final segment at t_end
             total += inst(tuple(state)) / alpha * (weight - math.exp(-alpha * t_end))
         scores.append(total)
-    return np.array(scores, dtype=float)
-
-
-def discounted_reward_mc(model: CtbnModel, initial: Sequence[int], reward: RewardSpec,
-                         config: SimulationConfig) -> tuple[float, float]:
-    """Sample mean and standard error of the discounted reward from one state.
-
-    Each trajectory scores sum_i e^(-alpha t_i) * lump(x_before, x_after)
-    plus the discounted time integral of the instantaneous reward, truncated
-    at the horizon.
-    """
-    scores = _discounted_scores(model, initial, state_index(initial, model), config.t_end,
-                                reward.discount, config.master_seed,
-                                range(config.trajectory_count), reward)
+    scores = np.array(scores, dtype=float)
     return float(scores.mean()), _stderr(scores)
 
 
@@ -190,10 +203,16 @@ def ednt_mc(model: CtbnModel, alpha: float, config: SimulationConfig,
             epsilon: float | None = None) -> EdntTable:
     """Monte Carlo EDNT per requested state (default: every joint state).
 
-    One :func:`stopping_rule_ednt` call per state, capped at
-    ``config.trajectory_count`` and seeded with ``config.master_seed``, so the
-    table does not depend on the order of `states`; ``epsilon`` is its
-    relative half-width (None spends the cap).
+    A state is a tuple of local states or an integer joint index.  The
+    stopping rule of :func:`stopping_rule_ednt` runs for all states at once,
+    in rounds: every state still running adds its next batch of
+    ``MC_BATCH`` trajectories, the batches share engine calls of at most
+    ``MC_CALL_BYTES`` live bytes, then each state checks its half-width and
+    its cap of ``config.trajectory_count``.  ``epsilon`` is the relative
+    half-width (None spends the cap in one batch).  Trajectory k from state
+    x is keyed by derive_seed(config.master_seed, state_index(x), k), so the
+    table equals per-state :func:`stopping_rule_ednt` calls bit for bit and
+    does not depend on the order of `states`.
     """
     if states is None:
         if model.state_count > DEFAULT_STATE_CAP:
@@ -202,15 +221,12 @@ def ednt_mc(model: CtbnModel, alpha: float, config: SimulationConfig,
         indices = list(range(model.state_count))
     else:
         indices = sorted({
-            s if isinstance(s, int) else state_index(s, model) for s in states
+            int(s) if isinstance(s, numbers.Integral) else state_index(s, model) for s in states
         })
-    results = [
-        stopping_rule_ednt(model, state_from_index(idx, model), alpha, config.t_end,
-                           epsilon, cap=config.trajectory_count, seed=config.master_seed)
-        for idx in indices
-    ]
+    results = _stopping_rule(model, indices, alpha, config.t_end, epsilon, MC_BATCH,
+                             config.trajectory_count, config.master_seed)
     return EdntTable(indices, [r.estimate for r in results], [r.stderr for r in results],
-                     [r.trajectories_used for r in results])
+                     [r.trajectories_used for r in results], [r.stopped_by for r in results])
 
 
 # -- exact values ----------------------------------------------------------------
@@ -321,15 +337,33 @@ class StoppingResult:
 
 def stopping_rule_ednt(model: CtbnModel, initial: Sequence[int], alpha: float,
                        t_end: float, relative_halfwidth: float | None,
-                       batch: int = 200, cap: int = 100_000,
+                       batch: int = MC_BATCH, cap: int = 100_000,
                        seed: int = 0) -> StoppingResult:
     """Monte Carlo EDNT from one state, in batches until the 95% half-width is small.
 
     Stops once half-width / |estimate| < relative_halfwidth (absolute
     half-width when the estimate is 0), or when `cap` trajectories have been
     spent, whichever comes first; with ``relative_halfwidth`` None it spends
-    exactly `cap`.  Trajectory k is seeded with
-    derive_seed(seed, state_index(initial), k).
+    exactly `cap` in one batch.  Trajectory k is seeded with
+    derive_seed(seed, state_index(initial), k).  This is the round loop of
+    :func:`ednt_mc` for one state: a batch larger than ``MC_CALL_BYTES``
+    allows still runs as one engine call.
+    """
+    return _stopping_rule(model, [state_index(initial, model)], alpha, t_end,
+                          relative_halfwidth, batch, cap, seed)[0]
+
+
+def _stopping_rule(model: CtbnModel, indices: Sequence[int], alpha: float, t_end: float,
+                   relative_halfwidth: float | None, batch: int, cap: int,
+                   seed: int) -> list[StoppingResult]:
+    """The stopping rule for every state in `indices` at once, in rounds.
+
+    A round takes the next batch of every running state, ``range(done,
+    min(done + batch, cap))`` of its stream, and runs the batches through
+    the engine in order, as many whole batches per call as fit in
+    ``MC_CALL_BYTES`` (at least one).  Each batch's scores go back to its
+    state, which then applies the half-width and cap tests.  Arguments are
+    checked before anything is sampled, even for no state.
     """
     _check_rate("alpha", alpha)
     _check_horizon(t_end)
@@ -339,20 +373,42 @@ def stopping_rule_ednt(model: CtbnModel, initial: Sequence[int], alpha: float,
         raise ValueError("relative_halfwidth must be positive")
     if batch < 1 or cap < 1:
         raise ValueError("batch and cap must be >= 1")
-    index = state_index(initial, model)
-    scores = np.empty(0)
-    while True:
-        done = scores.size
-        scores = np.concatenate((scores, _discounted_scores(
-            model, initial, index, t_end, alpha, seed, range(done, min(done + batch, cap)))))
-        est = float(scores.mean())
-        se = _stderr(scores)
-        half = Z_95 * se
-        criterion = half / abs(est) if est != 0.0 else half
-        if relative_halfwidth is not None and criterion < relative_halfwidth:
-            return StoppingResult(est, se, scores.size, "halfwidth")
-        if scores.size >= cap:
-            return StoppingResult(est, se, scores.size, "cap")
+    starts = [state_from_index(i, model) for i in indices]  # range check
+    table = model.rate_table
+    step_bytes = _step_bytes(table)
+    bases = [derive_seed(seed, i) for i in indices]
+    scores = [np.empty(0) for _ in indices]
+    results: list[StoppingResult | None] = [None] * len(indices)
+    running = list(range(len(indices)))
+    while running:
+        calls, size = [[]], 0
+        for i in running:
+            ks = range(scores[i].size, min(scores[i].size + batch, cap))
+            if calls[-1] and (size + len(ks)) * step_bytes > MC_CALL_BYTES:
+                calls.append([])
+                size = 0
+            calls[-1].append((i, ks))
+            size += len(ks)
+        for call in calls:
+            keys = np.concatenate([_member_keys(bases[i], ks) for i, ks in call])
+            sizes = [len(ks) for _, ks in call]
+            start = np.repeat(np.array([starts[i] for i, _ in call], dtype=np.int64), sizes,
+                              axis=0)
+            parts = np.split(_counting_scores(table, keys, start, t_end, alpha),
+                             np.cumsum(sizes)[:-1])
+            for (i, _), part in zip(call, parts):
+                scores[i] = np.concatenate((scores[i], part))
+        for i in running:
+            est = float(scores[i].mean())
+            se = _stderr(scores[i])
+            half = Z_95 * se
+            criterion = half / abs(est) if est != 0.0 else half
+            if relative_halfwidth is not None and criterion < relative_halfwidth:
+                results[i] = StoppingResult(est, se, scores[i].size, "halfwidth")
+            elif scores[i].size >= cap:
+                results[i] = StoppingResult(est, se, scores[i].size, "cap")
+        running = [i for i in running if results[i] is None]
+    return results
 
 
 # -- report ------------------------------------------------------------------------
@@ -365,20 +421,27 @@ def write_sentry_report(path, model: CtbnModel, ednt: EdntTable | np.ndarray,
     Columns: state_bits, ednt, ednt_stderr, rednt, active_alarms; state_bits
     renders local states in process order.
     """
+    positions = ranking.positions
+    order = ranking.state_indices[positions]
     if isinstance(ednt, EdntTable):
-        values = ednt.as_dict()
-        errors = ednt.stderr_dict()
+        by_index = np.argsort(ednt.state_indices, kind="stable")
+        at = by_index[np.searchsorted(ednt.state_indices, order, sorter=by_index)]
+        values, errors = ednt.estimates[at], ednt.stderrs[at]
     else:
-        arr = np.asarray(ednt, dtype=float)
-        values = dict(enumerate(arr.tolist()))
-        errors = {i: 0.0 for i in values}
-    gs = ranking.graph
-    relative = dict(zip(ranking.state_indices.tolist(), ranking.values.tolist()))
+        values = np.asarray(ednt, dtype=float)[order]
+        errors = np.zeros(order.size)
+    # local states by place values, least significant (last) process first
+    cards = ranking.graph.cardinalities
+    digits = np.empty((order.size, len(cards)), dtype=np.int64)
+    rest = order.copy()
+    for j in range(len(cards) - 1, -1, -1):
+        rest, digits[:, j] = np.divmod(rest, cards[j])
+    template = "%d" * len(cards)
+    bits = (template % tuple(row) for row in digits.tolist())
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["state_bits", "ednt", "ednt_stderr", "rednt", "active_alarms"])
-        for idx in ranking.order:
-            state = gs.state_of(idx)
-            bits = "".join(str(v) for v in state)
-            w.writerow([bits, format_float(values[idx]), format_float(errors[idx]),
-                        format_float(relative[idx]), active_alarm_count(state)])
+        w.writerows(zip(bits, map(format_float, values.tolist()),
+                        map(format_float, errors.tolist()),
+                        map(format_float, ranking.values[positions].tolist()),
+                        np.count_nonzero(digits, axis=1).tolist()))

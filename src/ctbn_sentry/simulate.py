@@ -259,6 +259,15 @@ def _initial_states(model: CtbnModel, keys: np.ndarray,
     return np.tile(np.asarray(state, dtype=np.int64), (keys.size, 1))
 
 
+def _step_bytes(table: RateTable) -> int:
+    """Bytes :func:`_steps` holds per live trajectory at its peak, when a step
+    drops finished members: two copies of the gathered cumulative rates
+    (processes x CIM width), of the state and of the row indices, and about 20
+    per-trajectory vectors."""
+    n, width = table.weights.shape[0], table.rates.shape[1]
+    return 8 * (2 * n * width + 4 * n + 20)
+
+
 def _steps(table: RateTable, keys: np.ndarray, start: np.ndarray,
            t_end: float) -> Iterator[tuple[np.ndarray, ...]]:
     """Advance every trajectory one event per step until all have passed ``t_end``.

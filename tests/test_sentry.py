@@ -1,3 +1,4 @@
+import csv
 import math
 import random
 
@@ -24,6 +25,9 @@ from ctbn_sentry import (
     write_sentry_report,
 )
 from ctbn_sentry import model as model_module
+from ctbn_sentry import sentry as sentry_module
+from ctbn_sentry.model import active_alarm_count, low_activity_states
+from ctbn_sentry.simulate import _step_bytes, format_float
 from conftest import independent_togglers, make_random_model, toggler_model, zero_rate_model
 
 # Reference table for the chain3 rates: per-state discounted transition
@@ -545,6 +549,82 @@ def test_ednt_mc_epsilon_reports_trajectories_spent(chain3):
         assert used < 4000
 
 
+# -- the round loop ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("epsilon, cap, batches_per_call", [
+    (0.02, 1100, None),  # states stop in different rounds, one on a short last batch
+    (None, 300, None),  # fixed count: one batch of the cap per state
+    (0.02, 1100, 3),  # a round spans several engine calls
+    (0.02, 1100, 0),  # a budget below one batch: one batch per call
+], ids=["epsilon", "fixed-count", "small-budget", "below-one-batch"])
+def test_ednt_mc_rounds_match_per_state_rule(chain3, monkeypatch, epsilon, cap,
+                                              batches_per_call):
+    states = list(range(8))
+    want = [stopping_rule_ednt(chain3, state_from_index(i, chain3), 0.3, 20.0, epsilon,
+                               cap=cap, seed=5) for i in states]
+    if batches_per_call is not None:
+        monkeypatch.setattr(sentry_module, "MC_CALL_BYTES",
+                            batches_per_call * sentry_module.MC_BATCH
+                            * _step_bytes(chain3.rate_table))
+    calls = []
+    real = sentry_module._steps
+    monkeypatch.setattr(sentry_module, "_steps",
+                        lambda table, keys, *args: calls.append(keys.size)
+                        or real(table, keys, *args))
+    table = ednt_mc(chain3, 0.3, SimulationConfig(20.0, cap, 5), states=states,
+                    epsilon=epsilon)
+    got = list(zip(table.estimates.tolist(), table.stderrs.tolist(),
+                   table.trajectory_counts.tolist(), table.stopped_by.tolist()))
+    assert got == [(r.estimate, r.stderr, r.trajectories_used, r.stopped_by) for r in want]
+
+    counts = table.trajectory_counts
+    batch = cap if epsilon is None else sentry_module.MC_BATCH
+    rounds = -(-counts.max() // batch)
+    assert sum(calls) == counts.sum()
+    if epsilon is not None:
+        assert len(set(counts.tolist())) >= 3
+        assert set(table.stopped_by.tolist()) == {"halfwidth", "cap"}
+    if batches_per_call is None:
+        assert len(calls) == rounds  # every running state's batch in one call per round
+    elif batches_per_call:
+        assert max(calls) <= batches_per_call * batch and len(calls) > rounds
+    else:
+        assert len(calls) == (-(-counts // batch)).sum()
+
+
+@pytest.mark.parametrize("alpha, epsilon, message", [
+    (math.nan, None, "alpha must be positive and finite"),
+    (0.0, 0.1, "alpha must be positive and finite"),
+    (0.1, -1.0, "relative_halfwidth must be positive"),
+    (0.1, 0.0, "relative_halfwidth must be positive"),
+])
+def test_ednt_mc_validates_without_states(alpha, epsilon, message, no_sampling):
+    with pytest.raises(ValueError, match=message):
+        ednt_mc(toggler_model(), alpha, SimulationConfig(5.0, 10, 1), states=[],
+                epsilon=epsilon)
+
+
+def test_ednt_mc_accepts_any_integer_index(chain3):
+    config = SimulationConfig(5.0, 30, 2)
+    by_state = ednt_mc(chain3, 0.3, config, states=[(0, 1, 1)])
+    for index in (3, np.int64(3), np.int32(3), np.uint8(3)):
+        table = ednt_mc(chain3, 0.3, config, states=[index, (0, 1, 1)])
+        assert table.state_indices.tolist() == [3]
+        assert table.estimates.tolist() == by_state.estimates.tolist()
+
+
+@pytest.mark.parametrize("index", [8, -1, np.int64(8)])
+def test_ednt_mc_rejects_out_of_range_index(chain3, index, no_sampling):
+    with pytest.raises(ValueError, match="out of range"):
+        ednt_mc(chain3, 0.3, SimulationConfig(5.0, 10, 1), states=[index])
+
+
+def test_ednt_table_stop_reasons_default_to_empty():
+    table = EdntTable([0, 1], [1.0, 2.0], [0.1, 0.2], [10, 10])
+    assert table.stopped_by.tolist() == ["", ""]
+
+
 # -- report ------------------------------------------------------------------------
 
 
@@ -561,3 +641,55 @@ def test_sentry_report_csv(chain3, tmp_path):
     # REDNT column is non-increasing
     rednt_col = [float(line.split(",")[3]) for line in lines[1:]]
     assert rednt_col == sorted(rednt_col, reverse=True)
+
+
+def _reference_sentry_report(path, ednt, ranking):
+    """The row-by-row writer that the columnar one replaced."""
+    if isinstance(ednt, EdntTable):
+        values, errors = ednt.as_dict(), ednt.stderr_dict()
+    else:
+        values = dict(enumerate(np.asarray(ednt, dtype=float).tolist()))
+        errors = {i: 0.0 for i in values}
+    gs = ranking.graph
+    relative = dict(zip(ranking.state_indices.tolist(), ranking.values.tolist()))
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["state_bits", "ednt", "ednt_stderr", "rednt", "active_alarms"])
+        for idx in ranking.order:
+            state = gs.state_of(idx)
+            w.writerow(["".join(str(v) for v in state), format_float(values[idx]),
+                        format_float(errors[idx]), format_float(relative[idx]),
+                        active_alarm_count(state)])
+
+
+def _wide_model():
+    """A 12-state process (two-digit local states) driving a binary one."""
+    rng = np.random.default_rng(4)
+    a = rng.uniform(0.1, 2.0, (1, 12, 12))
+    b = rng.uniform(0.1, 2.0, (12, 2, 2))
+    for m in (a, b):
+        for mat in m:
+            np.fill_diagonal(mat, 0.0)
+            np.fill_diagonal(mat, -mat.sum(axis=1))
+    return CtbnModel((ProcessSpec("A", 12), ProcessSpec("B", 2, ("A",))), (Cim(a), Cim(b)),
+                     initial_state=(0, 0))
+
+
+def test_sentry_report_matches_row_writer(chain3, tmp_path):
+    low = low_activity_states(chain3, 1, neighbors=True)
+    cases = [
+        (chain3, ednt_exact(chain3, 0.1)),
+        (chain3, ednt_mc(chain3, 0.3, SimulationConfig(5.0, 40, 3), states=low[::-1])),
+        (zero_rate_model(2), ednt_exact(zero_rate_model(2), 0.5)),  # flagged, all ties
+        (make_random_model(random.Random(7), max_states=36), None),
+        (_wide_model(), None),
+    ]
+    for k, (model, ednt) in enumerate(cases):
+        if ednt is None:
+            ednt = ednt_exact(model, 0.4)
+        ranking = rednt(ednt, build_state_space_graph(model))
+        write_sentry_report(tmp_path / f"new{k}.csv", model, ednt, ranking)
+        _reference_sentry_report(tmp_path / f"old{k}.csv", ednt, ranking)
+        assert (tmp_path / f"new{k}.csv").read_bytes() == (tmp_path / f"old{k}.csv").read_bytes()
+    rows = (tmp_path / "new4.csv").read_text().splitlines()[1:]
+    assert any(len(row.split(",")[0]) == 3 for row in rows)  # a two-digit local state
