@@ -10,23 +10,21 @@ Count) and the fraction of its visits that did so (Naive Score).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .graphs import condensation, induced_subgraph
 from .model import (
     CtbnModel,
-    active_alarm_count,
     build_state_space_graph,
     low_activity_states,
-    state_from_index,
-    state_index,
+    states_from_indices,
 )
 from .sentry import RedntRanking, ednt_exact, rank_sentry_states, rednt
-from .simulate import Ensemble, SimulationConfig, Trajectory, format_float, sample_ensemble
+from .simulate import (Ensemble, SimulationConfig, Trajectory, _parts, _write_table,
+                       sample_ensemble)
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,6 @@ def _fast_runs(ensemble: Ensemble, params: NaiveParams) -> tuple[np.ndarray, np.
 
 
 _CODE_LIMIT = 1 << 62  # largest product of radices one int64 code column holds
-_PART_EVENTS = 1 << 16  # events per scanned part: bounds the scan's temporaries
 
 
 class _Scan(NamedTuple):
@@ -85,7 +82,7 @@ class _Scan(NamedTuple):
 
     Visit k (k < members) is member k's initial state, visit members + i the
     state after event i; every visited state has an integer code, and
-    ``decode`` turns codes (below ``bound``) back into state tuples.
+    ``decode`` turns codes (below ``bound``) back into rows of local states.
     """
 
     first: np.ndarray  # first and last event of every cascade
@@ -93,18 +90,11 @@ class _Scan(NamedTuple):
     codes: np.ndarray  # code of every visit
     launches: np.ndarray  # code of the state just before each cascade
     bound: int
-    decode: Callable[[np.ndarray], list[tuple[int, ...]]]
+    decode: Callable[[np.ndarray], np.ndarray]
 
 
-def _parts(ensemble: Ensemble) -> Iterator[tuple[int, Ensemble]]:
-    """Consecutive member slices of at most ``_PART_EVENTS`` events (or one
-    member), each with the index of its first member."""
-    lo = 0
-    while lo < len(ensemble):
-        limit = ensemble.offsets[lo] + _PART_EVENTS
-        hi = max(lo + 1, int(np.searchsorted(ensemble.offsets, limit, side="right")) - 1)
-        yield lo, ensemble[lo:hi]
-        lo = hi
+def _tuples(states: np.ndarray) -> list[tuple[int, ...]]:
+    return list(map(tuple, states.tolist()))
 
 
 def _scan(part: Ensemble, params: NaiveParams) -> _Scan:
@@ -157,9 +147,11 @@ def _scan(part: Ensemble, params: NaiveParams) -> _Scan:
         rows, codes = np.unique(np.stack(columns, axis=1), axis=0, return_inverse=True)
         bound = len(rows)
 
-    def decode(selected: np.ndarray) -> list[tuple[int, ...]]:
-        digits = (selected[:, None] if rows is None else rows[selected])[:, group]
-        return list(map(tuple, (digits // place % radix).tolist()))
+    def decode(selected: np.ndarray) -> np.ndarray:
+        if rows is None:
+            return states_from_indices(selected, radix)
+        return np.hstack([states_from_indices(rows[selected, g], radix[group == g])
+                          for g in reversed(range(rows.shape[1]))])
 
     first, last = _fast_runs(part, params)
     # a cascade never opens a member, so the state before event a is the
@@ -181,7 +173,7 @@ def identify_cascades(trajectory: Trajectory, params: NaiveParams) -> list[Casca
     """All cascades of a trajectory, in time order (windows are disjoint)."""
     scan = _scan(Ensemble.from_trajectories([trajectory]), params)
     return [CascadeWindow(a, b, x) for a, b, x in zip(
-        scan.first.tolist(), scan.last.tolist(), scan.decode(scan.launches))]
+        scan.first.tolist(), scan.last.tolist(), _tuples(scan.decode(scan.launches)))]
 
 
 @dataclass
@@ -211,11 +203,11 @@ def naive_scores(trajectories: Ensemble | Iterable[Trajectory],
     included, so visits do not depend on the threshold.
     """
     result = NaiveScores()
-    for _, part in _parts(Ensemble.from_trajectories(trajectories)):
+    for part in _parts(Ensemble.from_trajectories(trajectories)):
         scan = _scan(part, params)
         for tally, codes in ((result.counts, scan.launches), (result.visits, scan.codes)):
             distinct, counts = _tally(codes, scan.bound)
-            for state, count in zip(scan.decode(distinct), counts.tolist()):
+            for state, count in zip(_tuples(scan.decode(distinct)), counts.tolist()):
                 tally[state] = tally.get(state, 0) + count
         result.total_cascades += int(scan.first.size)
     return result
@@ -315,7 +307,8 @@ def compare_rednt_vs_naive(
     if max_active is None:
         max_active = max((len(p.parents) for p in model.processes), default=0)
     gs = build_state_space_graph(model)
-    filtered = [state_from_index(i, model) for i in low_activity_states(model, max_active)]
+    filtered = _tuples(states_from_indices(low_activity_states(model, max_active),
+                                           model.cardinalities))
     ednt = ednt_exact(model, alpha)
     ranking = rednt(ednt, gs)
     rednt_list = rank_sentry_states(ranking, max_active)
@@ -325,10 +318,7 @@ def compare_rednt_vs_naive(
     if fast_threshold is None:
         fast_threshold = default_fast_threshold(trajectories)
     scores = naive_scores(trajectories, NaiveParams(fast_threshold, min_cascade_length))
-    naive_list = sorted(
-        filtered,
-        key=lambda s: (-scores.score(s), -scores.count(s), state_index(s, model)),
-    )
+    naive_list = sorted(filtered, key=lambda s: (-scores.score(s), -scores.count(s)))
 
     if k_range is None:
         k_range = range(1, len(filtered) + 1)
@@ -350,20 +340,16 @@ def compare_rednt_vs_naive(
 
 def write_cascade_report(path, trajectories: Ensemble | Iterable[Trajectory],
                          params: NaiveParams) -> None:
-    """CSV of every cascade window: trajectory, time span, length, sentry state."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["trajectory_id", "start_time", "end_time", "length",
-                    "sentry_state_bits"])
-        for lo, part in _parts(Ensemble.from_trajectories(trajectories)):
+    """CSV of every cascade window: trajectory id, time span, length, sentry state."""
+    def windows():
+        for part in _parts(Ensemble.from_trajectories(trajectories)):
             scan = _scan(part, params)
-            members = lo + np.searchsorted(part.offsets, scan.first, side="right") - 1
-            for k, start, end, length, state in zip(
-                    members.tolist(), part.times[scan.first].tolist(),
-                    part.times[scan.last].tolist(), (scan.last - scan.first + 1).tolist(),
-                    scan.decode(scan.launches)):
-                w.writerow([k, format_float(start), format_float(end), length,
-                            "".join(map(str, state))])
+            member = np.searchsorted(part.offsets, scan.first, side="right") - 1
+            yield [part.ids[member], part.times[scan.first], part.times[scan.last],
+                   scan.last - scan.first + 1, scan.decode(scan.launches)]
+
+    _write_table(path, ["trajectory_id", "start_time", "end_time", "length",
+                        "sentry_state_bits"], windows())
 
 
 def write_naive_scores_report(path, scores: NaiveScores) -> None:
@@ -372,19 +358,15 @@ def write_naive_scores_report(path, scores: NaiveScores) -> None:
         set(scores.visits) | set(scores.counts),
         key=lambda s: (-scores.score(s), -scores.count(s), s),
     )
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["state_bits", "naive_count", "naive_score", "visits",
-                    "active_alarms"])
-        for state in states:
-            bits = "".join(str(v) for v in state)
-            w.writerow([bits, scores.count(state), format_float(scores.score(state)),
-                        scores.visits.get(state, 0), active_alarm_count(state)])
+    rows = np.array(states, dtype=np.int64).reshape(len(states), len(states[0]) if states else 0)
+    columns = [rows, [scores.count(s) for s in states],
+               np.array([scores.score(s) for s in states], dtype=float),
+               [scores.visits.get(s, 0) for s in states], np.count_nonzero(rows, axis=1)]
+    _write_table(path, ["state_bits", "naive_count", "naive_score", "visits", "active_alarms"],
+                 [columns])
 
 
 def write_comparison_report(path, result: ComparisonResult) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "jaccard"])
-        for k, j in result.jaccard:
-            w.writerow([k, format_float(j)])
+    columns = [[k for k, _ in result.jaccard],
+               np.array([j for _, j in result.jaccard], dtype=float)]
+    _write_table(path, ["k", "jaccard"], [columns])

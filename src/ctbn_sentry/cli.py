@@ -320,13 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Peel off --config and fold its values in as parser defaults."""
+def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+    """Fold the values of a --config file in as the command's flag defaults: as
+    text, which the flag's type checks; an on/off flag takes only a boolean."""
     probe = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     probe.add_argument("--config")
+    probe.add_argument("command", nargs="?")
     known, _ = probe.parse_known_args(argv)
     if not known.config:
-        return argv
+        return
     try:
         with open(known.config) as fh:
             values = json.load(fh)
@@ -334,18 +336,26 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
         parser.error(f"cannot read config file: {exc}")
     if not isinstance(values, dict):
         parser.error("config file must hold a JSON object of flag values")
+    command = parser._subparsers._group_actions[0].choices.get(known.command)
+    if command is None:  # the parser reports the missing or unknown command
+        return
     cleaned = {key.replace("-", "_"): val for key, val in values.items()}
-    for action in parser._subparsers._group_actions:
-        for sp in action.choices.values():
-            sp.set_defaults(**{k: v for k, v in cleaned.items()
-                               if k in {a.dest for a in sp._actions}})
-    return argv
+    for flag in command._actions:
+        if flag.dest not in cleaned:
+            continue
+        value = cleaned[flag.dest]
+        if not isinstance(flag, argparse._StoreTrueAction):
+            value = str(value)
+        elif not isinstance(value, bool):
+            command.error(f"argument {flag.option_strings[0]}: config value must be "
+                          f"true or false, got {value!r}")
+        command.set_defaults(**{flag.dest: value})
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    argv = _apply_config(parser, argv)
+    _apply_config(parser, argv)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -261,6 +261,31 @@ def state_from_index(index: int, model: CtbnModel | StateSpaceGraph) -> tuple[in
     return tuple(reversed(digits))
 
 
+def states_from_indices(indices, cardinalities: Sequence[int]) -> np.ndarray:
+    """Vectorized :func:`state_from_index`: the local states of int64 joint
+    indices of any shape, one row per index; the same error out of range.
+
+    Each process's column is contiguous in memory (the result is a view of
+    a (processes, ...) array), which is the faster layout for the callers.
+    """
+    index = np.asarray(indices, dtype=np.int64)
+    out = np.empty((len(cardinalities),) + index.shape, dtype=np.int64)
+    rest = index
+    for j in reversed(range(len(cardinalities))):  # least significant digit first
+        rest, out[j] = np.divmod(rest, cardinalities[j])
+    bad = np.flatnonzero(rest)
+    if bad.size:
+        raise ValueError(f"state index {index.flat[bad[0]]} out of range")
+    return np.moveaxis(out, 0, -1)
+
+
+def state_bits(states: np.ndarray) -> list[str]:
+    """The text of each row of local states: its digits run together."""
+    states = np.asarray(states)
+    template = "%d" * states.shape[-1]
+    return [template % row for row in map(tuple, states.tolist())]
+
+
 def enumerate_states(model: CtbnModel) -> Iterator[tuple[int, ...]]:
     """Yield all joint states in index order."""
     return itertools.product(*(range(c) for c in model.cardinalities))
@@ -434,29 +459,29 @@ def local_rate(model: CtbnModel, process: int | str, state: Sequence[int]) -> np
     return model.cims[j].matrices[cfg][int(state[j])]
 
 
-def intensity_matrix(model: CtbnModel, max_states: int = DEFAULT_STATE_CAP) -> sp.csr_matrix:
+def intensity_matrix(model: CtbnModel) -> sp.csr_matrix:
     """Flatten the CTBN into a sparse (CSR) intensity matrix over the joint space.
 
     Entry (x, y) for states differing only in process j is j's local
-    transition rate under x's parent configuration; states differing in two
-    or more components get rate 0, and the diagonal closes each row to 0.
-    Row x stores one entry per state-space neighbor (zero rates included)
-    plus the diagonal, so nnz = S * (1 + sum_j (c_j - 1)).
+    transition rate under x's parent configuration, read from the model's
+    :class:`RateTable`; states differing in two or more components get rate
+    0, and the diagonal closes each row to 0.  Row x stores one entry per
+    state-space neighbor (zero rates included) plus the diagonal, so
+    nnz = S * (1 + sum_j (c_j - 1)).
     """
-    gs = build_state_space_graph(model, max_states)
+    gs = build_state_space_graph(model)
+    table = model.rate_table
     n = gs.node_count
     idx = np.arange(n, dtype=np.int64)
-    digits = [(idx // m) % c for m, c in zip(gs.multipliers, gs.cardinalities)]
+    digits = states_from_indices(idx, gs.cardinalities)
     rates = np.empty((n, gs.degree))  # columns follow StateSpaceGraph.neighbor_table
     col = 0
-    for j, cim in enumerate(model.cims):
-        config = np.zeros(n, dtype=np.int64)
-        for p, pm in zip(model.parent_indices[j], model.parent_multipliers[j]):
-            config += digits[p] * pm
-        active = cim.matrices[config, digits[j]]  # CIM row in force at every state
-        for target in _neighbor_targets(digits[j], gs.cardinalities[j]):
-            rates[:, col] = active[idx, target]
+    for j, c in enumerate(gs.cardinalities):
+        row = digits @ table.weights[:, j] + table.offsets[j]  # CIM row in force at every state
+        for target in _neighbor_targets(digits[:, j], c):
+            rates[:, col] = table.rates[row, target]
             col += 1
+    del digits
     off = sp.csr_matrix(
         (rates.ravel(), gs.neighbor_table(idx).ravel(),
          np.arange(n + 1) * gs.degree),
@@ -469,16 +494,17 @@ def amalgamate(model: CtbnModel, max_states: int = DEFAULT_STATE_CAP) -> np.ndar
 
     For small models and tests; the analysis itself works on the sparse
     matrix.  Raises :class:`StateSpaceCapError` before allocating when the
-    S x S float64 array would exceed ``DENSE_BYTES_CAP`` bytes.
+    model has more than `max_states` states or the S x S float64 array would
+    exceed ``DENSE_BYTES_CAP`` bytes.
     """
-    require_valid(model)
+    build_state_space_graph(model, max_states)
     n = model.state_count
     nbytes = n * n * np.dtype(float).itemsize
     if nbytes > DENSE_BYTES_CAP:
         raise StateSpaceCapError(
             f"dense intensity matrix for {n} states needs {nbytes} bytes, "
             f"cap is {DENSE_BYTES_CAP} bytes")
-    Q = intensity_matrix(model, max_states).toarray()
+    Q = intensity_matrix(model).toarray()
     Q.flags.writeable = False
     return Q
 
@@ -537,10 +563,11 @@ class StateSpaceGraph:
         ascending (the order of :meth:`neighbors`).
         """
         idx = np.asarray(indices, dtype=np.int64)
+        digits = states_from_indices(idx, self.cardinalities)
         out = np.empty(idx.shape + (self.degree,), dtype=np.int64)
         col = 0
-        for c, m in zip(self.cardinalities, self.multipliers):
-            digit = (idx // m) % c
+        for j, (c, m) in enumerate(zip(self.cardinalities, self.multipliers)):
+            digit = digits[..., j]
             for target in _neighbor_targets(digit, c):
                 out[..., col] = idx + (target - digit) * m
                 col += 1
@@ -662,10 +689,10 @@ def ancestral_subprocess(model: CtbnModel, keep: Iterable[str]) -> CtbnModel:
                          initial_state=tuple(model.initial_state[j] for j in kept))
     # marginalize an explicit joint distribution onto the kept coordinates
     sub = CtbnModel(processes, cims, initial_state=(0,) * len(kept))
-    dist = np.zeros(sub.state_count)
-    for i, x in enumerate(enumerate_states(model)):
-        restricted = tuple(x[j] for j in kept)
-        dist[state_index(restricted, sub)] += model.initial_distribution[i]
+    restricted = (states_from_indices(np.arange(model.state_count), model.cardinalities)[:, kept]
+                  @ np.array(sub.state_multipliers, dtype=np.int64))
+    dist = np.bincount(restricted, weights=model.initial_distribution,
+                       minlength=sub.state_count)
     return CtbnModel(processes, cims, initial_distribution=dist)
 
 
@@ -731,8 +758,8 @@ def model_to_dot(model: CtbnModel) -> str:
 def state_space_to_dot(model: CtbnModel, max_states: int = 4096) -> str:
     gs = build_state_space_graph(model, max_states=max_states)
     lines = ["graph state_space {"]
-    for i in range(gs.node_count):
-        label = "".join(str(v) for v in gs.state_of(i))
+    labels = state_bits(states_from_indices(np.arange(gs.node_count), gs.cardinalities))
+    for i, label in enumerate(labels):
         lines.append(f'  s{i} [label="{label}"];')
     for i, j in gs.edges():
         lines.append(f"  s{i} -- s{j};")

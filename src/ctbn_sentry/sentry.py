@@ -12,7 +12,6 @@ and few active alarms are the sentry candidates.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -31,9 +30,10 @@ from .model import (
     low_activity_states,
     state_from_index,
     state_index,
+    states_from_indices,
 )
-from .simulate import (SimulationConfig, _check_horizon, _initial_states, _member_keys,
-                       _sample, _step_bytes, _steps, derive_seed, format_float)
+from .simulate import (SimulationConfig, _check_horizon, _member_keys, _sample, _step_bytes,
+                       _steps, _write_table, derive_seed)
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 BACKWARD_ERROR_TOL = 1e-14  # componentwise backward error the exact solve must reach
@@ -164,12 +164,12 @@ def discounted_reward_mc(model: CtbnModel, initial: Sequence[int], reward: Rewar
     state_index(initial), k), the one Monte Carlo stream contract.
     """
     alpha, t_end = reward.discount, config.t_end
-    keys = _member_keys(derive_seed(config.master_seed, state_index(initial, model)),
-                        range(config.trajectory_count))
+    index = state_index(initial, model)
     if reward.counts_transitions:
-        scores = _counting_scores(model.rate_table, keys, _initial_states(model, keys, initial),
-                                  t_end, alpha)
-        return float(scores.mean()), _stderr(scores)
+        result = _stopping_rule(model, [index], alpha, t_end, None, MC_BATCH,
+                                config.trajectory_count, config.master_seed)[0]
+        return result.estimate, result.stderr
+    keys = _member_keys(derive_seed(config.master_seed, index), range(config.trajectory_count))
     lump = reward.lump_sum or (lambda x, y: 1.0)
     inst = reward.instantaneous
     scores = []
@@ -206,10 +206,11 @@ def ednt_mc(model: CtbnModel, alpha: float, config: SimulationConfig,
     A state is a tuple of local states or an integer joint index.  The
     stopping rule of :func:`stopping_rule_ednt` runs for all states at once,
     in rounds: every state still running adds its next batch of
-    ``MC_BATCH`` trajectories, the batches share engine calls of at most
-    ``MC_CALL_BYTES`` live bytes, then each state checks its half-width and
-    its cap of ``config.trajectory_count``.  ``epsilon`` is the relative
-    half-width (None spends the cap in one batch).  Trajectory k from state
+    ``MC_BATCH`` trajectories, the round's trajectories run in engine calls
+    of at most ``MC_CALL_BYTES`` live bytes (a batch may span calls), then
+    each state checks its half-width and its cap of
+    ``config.trajectory_count``.  ``epsilon`` is the relative half-width
+    (None spends the cap in one batch).  Trajectory k from state
     x is keyed by derive_seed(config.master_seed, state_index(x), k), so the
     table equals per-state :func:`stopping_rule_ednt` calls bit for bit and
     does not depend on the order of `states`.
@@ -232,8 +233,7 @@ def ednt_mc(model: CtbnModel, alpha: float, config: SimulationConfig,
 # -- exact values ----------------------------------------------------------------
 
 
-def ednt_exact(model: CtbnModel, alpha: float,
-               max_states: int = DEFAULT_STATE_CAP) -> np.ndarray:
+def ednt_exact(model: CtbnModel, alpha: float) -> np.ndarray:
     """Exact EDNT for every joint state by first-step analysis.
 
     With Q the sparse intensity matrix (:func:`intensity_matrix`) and q the
@@ -246,7 +246,7 @@ def ednt_exact(model: CtbnModel, alpha: float,
     not get there.  States with exit rate 0 get V = 0 exactly.
     """
     _check_rate("alpha", alpha)
-    Q = intensity_matrix(model, max_states=max_states)
+    Q = intensity_matrix(model)
     q = -Q.diagonal()
     n = q.size
     A = (alpha * sp.identity(n, format="csr") - Q).tocsr()
@@ -320,8 +320,9 @@ def rank_sentry_states(ranking: RedntRanking, max_active: int) -> list[tuple[int
     components in state 1).  Ties break toward the smaller state index.
     """
     gs = ranking.graph
-    low = set(low_activity_states(gs, max_active))
-    return [gs.state_of(idx) for idx in ranking.order if idx in low]
+    order = ranking.state_indices[ranking.positions]
+    chosen = order[np.isin(order, low_activity_states(gs, max_active))]
+    return list(map(tuple, states_from_indices(chosen, gs.cardinalities).tolist()))
 
 
 # -- sequential stopping rule --------------------------------------------------------
@@ -347,7 +348,7 @@ def stopping_rule_ednt(model: CtbnModel, initial: Sequence[int], alpha: float,
     exactly `cap` in one batch.  Trajectory k is seeded with
     derive_seed(seed, state_index(initial), k).  This is the round loop of
     :func:`ednt_mc` for one state: a batch larger than ``MC_CALL_BYTES``
-    allows still runs as one engine call.
+    allows runs in several engine calls, with the same scores.
     """
     return _stopping_rule(model, [state_index(initial, model)], alpha, t_end,
                           relative_halfwidth, batch, cap, seed)[0]
@@ -359,11 +360,12 @@ def _stopping_rule(model: CtbnModel, indices: Sequence[int], alpha: float, t_end
     """The stopping rule for every state in `indices` at once, in rounds.
 
     A round takes the next batch of every running state, ``range(done,
-    min(done + batch, cap))`` of its stream, and runs the batches through
-    the engine in order, as many whole batches per call as fit in
-    ``MC_CALL_BYTES`` (at least one).  Each batch's scores go back to its
-    state, which then applies the half-width and cap tests.  Arguments are
-    checked before anything is sampled, even for no state.
+    min(done + batch, cap))`` of its stream, and runs the batches' trajectories
+    through the engine in order, at most ``MC_CALL_BYTES`` live bytes (and at
+    least one trajectory) per call; a batch may span calls, as a score does
+    not depend on the call that ran it.  The scores go back to their states,
+    which then apply the half-width and cap tests.  Arguments are checked
+    before anything is sampled, even for no state.
     """
     _check_rate("alpha", alpha)
     _check_horizon(t_end)
@@ -373,31 +375,26 @@ def _stopping_rule(model: CtbnModel, indices: Sequence[int], alpha: float, t_end
         raise ValueError("relative_halfwidth must be positive")
     if batch < 1 or cap < 1:
         raise ValueError("batch and cap must be >= 1")
-    starts = [state_from_index(i, model) for i in indices]  # range check
+    starts = np.array([state_from_index(i, model) for i in indices],  # range check
+                      dtype=np.int64).reshape(len(indices), model.process_count)
     table = model.rate_table
-    step_bytes = _step_bytes(table)
-    bases = [derive_seed(seed, i) for i in indices]
+    limit = max(1, MC_CALL_BYTES // _step_bytes(table))  # trajectories per engine call
+    bases = np.array([derive_seed(seed, i) for i in indices], dtype=np.uint64)
     scores = [np.empty(0) for _ in indices]
     results: list[StoppingResult | None] = [None] * len(indices)
     running = list(range(len(indices)))
     while running:
-        calls, size = [[]], 0
-        for i in running:
-            ks = range(scores[i].size, min(scores[i].size + batch, cap))
-            if calls[-1] and (size + len(ks)) * step_bytes > MC_CALL_BYTES:
-                calls.append([])
-                size = 0
-            calls[-1].append((i, ks))
-            size += len(ks)
-        for call in calls:
-            keys = np.concatenate([_member_keys(bases[i], ks) for i, ks in call])
-            sizes = [len(ks) for _, ks in call]
-            start = np.repeat(np.array([starts[i] for i, _ in call], dtype=np.int64), sizes,
-                              axis=0)
-            parts = np.split(_counting_scores(table, keys, start, t_end, alpha),
-                             np.cumsum(sizes)[:-1])
-            for (i, _), part in zip(call, parts):
-                scores[i] = np.concatenate((scores[i], part))
+        # the round's trajectories: state and stream position of each
+        sizes = [min(batch, cap - scores[i].size) for i in running]
+        owner = np.repeat(running, sizes)
+        ks = np.concatenate([np.arange(scores[i].size, scores[i].size + size)
+                             for i, size in zip(running, sizes)])
+        cuts = range(limit, ks.size, limit)  # engine calls of at most `limit` trajectories
+        got = np.concatenate([
+            _counting_scores(table, _member_keys(bases[o], k), starts[o], t_end, alpha)
+            for o, k in zip(np.split(owner, cuts), np.split(ks, cuts))])
+        for i, part in zip(running, np.split(got, np.cumsum(sizes)[:-1])):
+            scores[i] = np.concatenate((scores[i], part))
         for i in running:
             est = float(scores[i].mean())
             se = _stderr(scores[i])
@@ -430,18 +427,7 @@ def write_sentry_report(path, model: CtbnModel, ednt: EdntTable | np.ndarray,
     else:
         values = np.asarray(ednt, dtype=float)[order]
         errors = np.zeros(order.size)
-    # local states by place values, least significant (last) process first
-    cards = ranking.graph.cardinalities
-    digits = np.empty((order.size, len(cards)), dtype=np.int64)
-    rest = order.copy()
-    for j in range(len(cards) - 1, -1, -1):
-        rest, digits[:, j] = np.divmod(rest, cards[j])
-    template = "%d" * len(cards)
-    bits = (template % tuple(row) for row in digits.tolist())
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["state_bits", "ednt", "ednt_stderr", "rednt", "active_alarms"])
-        w.writerows(zip(bits, map(format_float, values.tolist()),
-                        map(format_float, errors.tolist()),
-                        map(format_float, ranking.values[positions].tolist()),
-                        np.count_nonzero(digits, axis=1).tolist()))
+    states = states_from_indices(order, ranking.graph.cardinalities)
+    _write_table(path, ["state_bits", "ednt", "ednt_stderr", "rednt", "active_alarms"],
+                 [[states, values, errors, ranking.values[positions],
+                   np.count_nonzero(states, axis=1)]])

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import CtbnModel, RateTable, state_index
+from .model import CtbnModel, RateTable, state_bits, state_index, states_from_indices
 
 _MASK64 = (1 << 64) - 1
 
@@ -143,7 +143,9 @@ class Ensemble:
     """Trajectories as flat arrays: the events of member k are entries
     ``offsets[k]:offsets[k + 1]`` of `times`, `processes` and `new_states`.
 
-    Indexing and iteration give :class:`Trajectory` views of the members.
+    ``ids`` names the members in reports: the trajectory ids of the file an
+    ensemble was read from, else the member ordinals.  Indexing and iteration
+    give :class:`Trajectory` views of the members.
     """
 
     times: np.ndarray
@@ -152,15 +154,20 @@ class Ensemble:
     offsets: np.ndarray
     initial_states: np.ndarray  # (members, processes)
     t_end: float
+    ids: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.ids is None:
+            object.__setattr__(self, "ids", np.arange(len(self.offsets) - 1))
         for name, dtype in (("times", float), ("processes", np.int16),
                             ("new_states", np.int16), ("offsets", np.int64),
-                            ("initial_states", np.int16)):
+                            ("initial_states", np.int16), ("ids", np.int64)):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         _check_times(self.times, self.offsets, self.t_end)
         if (self.new_states < 0).any() or (self.initial_states < 0).any():
             raise ValueError("local states must be non-negative")
+        if self.ids.shape != (len(self),):
+            raise ValueError(f"{self.ids.size} ids for {len(self)} members")
 
     def __len__(self) -> int:
         return self.offsets.size - 1
@@ -175,7 +182,7 @@ class Ensemble:
             a, b = self.offsets[lo], self.offsets[hi]
             return Ensemble(self.times[a:b], self.processes[a:b], self.new_states[a:b],
                             self.offsets[lo:hi + 1] - a, self.initial_states[lo:hi],
-                            self.t_end)
+                            self.t_end, self.ids[lo:hi])
         k = range(len(self))[k]
         a, b = self.offsets[k], self.offsets[k + 1]
         return Trajectory(tuple(self.initial_states[k].tolist()), self.times[a:b],
@@ -235,11 +242,11 @@ def _uniforms(keys: np.ndarray, draws: Sequence[int]) -> np.ndarray:
     return (_stream(keys, draws) >> np.uint64(11)) * 2.0 ** -53
 
 
-def _member_keys(base: int, ks: range) -> np.ndarray:
-    """``derive_seed(*path, k)`` for every k in `ks`, where ``base = derive_seed(*path)``:
-    output k + 1 of the SplitMix64 generator seeded with `base`."""
-    return _mix(np.arange(ks.start + 2, ks.stop + 2, dtype=np.uint64) * _GAMMA
-                + np.uint64(base))
+def _member_keys(base, ks) -> np.ndarray:
+    """``derive_seed(*path, k)`` for every k in `ks`, where ``base = derive_seed(*path)``
+    (one base, or one per k): output k + 1 of the SplitMix64 generator seeded with `base`."""
+    return _mix((np.asarray(ks, dtype=np.uint64) + np.uint64(2)) * _GAMMA
+                + np.asarray(base, dtype=np.uint64))
 
 
 # -- the engine -------------------------------------------------------------------
@@ -253,7 +260,7 @@ def _initial_states(model: CtbnModel, keys: np.ndarray,
         cum = np.cumsum(model.initial_distribution)
         index = np.minimum(np.searchsorted(cum, _uniforms(keys, [0])[:, 0], side="right"),
                            model.state_count - 1)
-        return index[:, None] // model.state_multipliers % model.cardinalities
+        return states_from_indices(index, model.cardinalities)
     state = model.initial_state if initial is None else initial
     state_index(state, model)  # range check
     return np.tile(np.asarray(state, dtype=np.int64), (keys.size, 1))
@@ -351,35 +358,68 @@ def state_at(trajectory: Trajectory, t: float) -> tuple[int, ...]:
     return tuple(values)
 
 
-# -- trajectory CSV ------------------------------------------------------------
+# -- CSV tables ------------------------------------------------------------------
 
 format_float = "{:.17g}".format  # 17 significant digits round-trip float64 exactly
+_PART_EVENTS = 1 << 16  # events (or rows) per part: bounds scans' and writers' temporaries
+
+
+def _parts(ensemble: Ensemble) -> Iterator[Ensemble]:
+    """Consecutive member slices of at most ``_PART_EVENTS`` events (or one member)."""
+    lo = 0
+    while lo < len(ensemble):
+        limit = ensemble.offsets[lo] + _PART_EVENTS
+        hi = max(lo + 1, int(np.searchsorted(ensemble.offsets, limit, side="right")) - 1)
+        yield ensemble[lo:hi]
+        lo = hi
+
+
+def _cells(column) -> Iterable:
+    """A column's CSV cells: floats by :data:`format_float`, rows of local
+    states by :func:`~ctbn_sentry.model.state_bits`, anything else as it is."""
+    column = np.asarray(column)
+    if column.ndim == 2:
+        return state_bits(column)
+    return map(format_float, column.tolist()) if column.dtype.kind == "f" else column.tolist()
+
+
+def _write_table(path, header: Sequence[str], chunks: Iterable[Sequence]) -> None:
+    """Write a CSV file: the header, then the rows of each chunk of equal-length
+    columns, formatted ``_PART_EVENTS`` rows at a time (see :func:`_cells`)."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for columns in chunks:
+            for lo in range(0, len(columns[0]), _PART_EVENTS):
+                w.writerows(zip(*(_cells(c[lo:lo + _PART_EVENTS]) for c in columns)))
+
+
+def _trajectory_rows(ensemble: Ensemble, names: Sequence[str]) -> Iterator[list]:
+    """The id, time, process and state columns of an ensemble CSV, one chunk
+    per part: each member's time-0 rows (time written 0.0), then its events."""
+    names = np.array(names, dtype=object)
+    for part in _parts(ensemble):
+        members, n = part.initial_states.shape
+        at = np.repeat(part.offsets[:-1], n)  # a member's time-0 rows go before its events
+        times = np.insert(part.times, at, 0.0)
+        time = np.array(list(map(format_float, times.tolist())), dtype=object)
+        time[times == 0.0] = "0.0"  # event times are positive
+        yield [np.repeat(part.ids, n + np.diff(part.offsets)), time,
+               names[np.insert(part.processes, at, np.tile(np.arange(n), members))],
+               np.insert(part.new_states, at, part.initial_states.ravel())]
 
 
 def write_trajectory_csv(trajectory: Trajectory, path, process_names: Sequence[str]) -> None:
     """Single-trajectory CSV: initial-state rows at time 0.0, then events."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "process", "state"])
-        _write_rows(w, trajectory, process_names, prefix=())
+    rows = _trajectory_rows(Ensemble.from_trajectories([trajectory]), process_names)
+    _write_table(path, ["time", "process", "state"], (columns[1:] for columns in rows))
 
 
 def write_ensemble_csv(trajectories: Iterable[Trajectory], path,
                        process_names: Sequence[str]) -> None:
-    """Concatenated CSV with a trajectory_id column."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["trajectory_id", "time", "process", "state"])
-        for k, traj in enumerate(trajectories):
-            _write_rows(w, traj, process_names, prefix=(k,))
-
-
-def _write_rows(w, trajectory: Trajectory, names: Sequence[str], prefix: tuple) -> None:
-    for j, v in enumerate(trajectory.initial_state):
-        w.writerow([*prefix, "0.0", names[j], v])
-    for t, p, s in zip(trajectory.times.tolist(), trajectory.processes.tolist(),
-                       trajectory.new_states.tolist()):
-        w.writerow([*prefix, format_float(t), names[p], s])
+    """Concatenated CSV with a trajectory_id column: the ensemble's ids."""
+    _write_table(path, ["trajectory_id", "time", "process", "state"],
+                 _trajectory_rows(Ensemble.from_trajectories(trajectories), process_names))
 
 
 def _read_columns(path, header: list[str]) -> tuple[np.ndarray, list[str]]:
@@ -443,7 +483,7 @@ def _to_ensemble(members: np.ndarray, rows: np.ndarray, names: list[str],
     offsets = np.searchsorted(member[events], np.arange(ids.size + 1))
     end = t_end if t_end is not None else float(times[events].max(initial=0.0))
     return Ensemble(times[events], process[events], local[events], offsets, initial,
-                    end), declared
+                    end, ids), declared
 
 
 def read_trajectory_csv(path, t_end: float | None = None) -> tuple[Trajectory, list[str]]:
@@ -463,8 +503,8 @@ def read_trajectory_csv(path, t_end: float | None = None) -> tuple[Trajectory, l
 def read_ensemble_csv(path, t_end: float | None = None) -> tuple[Ensemble, list[str]]:
     """Load a concatenated ensemble CSV; returns (ensemble, process names).
 
-    Members are ordered by trajectory id; ``t_end`` defaults to the last event
-    time in the file.
+    Members are ordered by trajectory id and keep it as their id; ``t_end``
+    defaults to the last event time in the file.
     """
     rows, names = _read_columns(path, ["trajectory_id", "time", "process", "state"])
     return _to_ensemble(rows["trajectory_id"], rows, names, t_end,

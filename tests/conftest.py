@@ -107,3 +107,19 @@ def make_random_model(rng: random.Random, max_states=16, max_parents=2,
                 mats[cfg, r, r] = -mats[cfg, r].sum()
         cims.append(Cim(mats))
     return CtbnModel(tuple(processes), tuple(cims), initial_state=(0,) * n)
+
+
+def random_trajectories(rng: np.random.Generator, n: int, card: int,
+                        sizes=(0, 1, 12, 30, 2, 45, 0, 9)) -> list:
+    """Trajectories of `n` processes with `card` local states and the given
+    event counts, at random gaps of 0.05 to 1.5 (state changes need not be real
+    changes)."""
+    from ctbn_sentry import Trajectory
+
+    out = []
+    for size in sizes:
+        times = np.cumsum(rng.uniform(0.05, 1.5, size))
+        out.append(Trajectory(tuple(rng.integers(0, card, n).tolist()), times,
+                              rng.integers(0, n, size), rng.integers(0, card, size),
+                              float(times[-1]) if size else 0.0))
+    return out

@@ -23,14 +23,17 @@ from ctbn_sentry import (
     naive_scores,
     rednt,
     sample_ensemble,
+    state_index,
     write_cascade_report,
+    write_comparison_report,
     write_naive_scores_report,
 )
-from ctbn_sentry import cascade as cascade_module
+from ctbn_sentry import simulate as simulate_module
 from ctbn_sentry.cascade import NaiveScores, suggested_min_cascade_length
-from ctbn_sentry.simulate import format_float
+from ctbn_sentry.model import active_alarm_count
+from ctbn_sentry.simulate import format_float, read_ensemble_csv
 
-from conftest import make_random_model
+from conftest import make_random_model, random_trajectories
 
 
 def traj_from_times(times, n_processes=1, t_end=None, initial=None):
@@ -319,14 +322,8 @@ def test_scan_in_parts_and_wide_states_match_reference(n, card, part_events, mon
                                                        tmp_path):
     # small parts split the ensemble between and after members; 70 binary or 40
     # ternary processes overflow one int64 state code, so codes span columns
-    monkeypatch.setattr(cascade_module, "_PART_EVENTS", part_events)
-    rng = np.random.default_rng(n * card)
-    ensemble = []
-    for size in (0, 1, 12, 30, 2, 45, 0, 9):
-        times = np.cumsum(rng.uniform(0.05, 1.5, size))
-        ensemble.append(Trajectory(tuple(rng.integers(0, card, n).tolist()), times,
-                                   rng.integers(0, n, size), rng.integers(0, card, size),
-                                   float(times[-1]) if size else 0.0))
+    monkeypatch.setattr(simulate_module, "_PART_EVENTS", part_events)
+    ensemble = random_trajectories(np.random.default_rng(n * card), n, card)
     for threshold, mcl in ((0.5, 2), (1.0, 2), (1.0, 3)):
         params = NaiveParams(threshold, mcl)
         got = naive_scores(ensemble, params)
@@ -344,6 +341,91 @@ def test_scan_in_parts_and_wide_states_match_reference(n, card, part_events, mon
         write_cascade_report(path, ensemble, params)
         with open(path, newline="") as fh:
             assert list(csv.reader(fh))[1:] == rows
+        _assert_reports_match_row_writers(ensemble, params, tmp_path)
+
+
+def reference_write_cascade_report(path, trajectories, params, ids=None):
+    """The row-by-row writer the columnar one replaced; ids default to ordinals."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["trajectory_id", "start_time", "end_time", "length",
+                    "sentry_state_bits"])
+        for k, traj in zip(range(len(trajectories)) if ids is None else ids, trajectories):
+            for a, b, state in reference_identify_cascades(traj, params):
+                w.writerow([k, format_float(traj.times[a]), format_float(traj.times[b]),
+                            b - a + 1, "".join(map(str, state))])
+
+
+def reference_write_naive_scores_report(path, scores):
+    """The row-by-row writer the columnar one replaced."""
+    states = sorted(set(scores.visits) | set(scores.counts),
+                    key=lambda s: (-scores.score(s), -scores.count(s), s))
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["state_bits", "naive_count", "naive_score", "visits", "active_alarms"])
+        for state in states:
+            w.writerow(["".join(str(v) for v in state), scores.count(state),
+                        format_float(scores.score(state)), scores.visits.get(state, 0),
+                        active_alarm_count(state)])
+
+
+def reference_write_comparison_report(path, result):
+    """The row-by-row writer the columnar one replaced."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["k", "jaccard"])
+        for k, j in result.jaccard:
+            w.writerow([k, format_float(j)])
+
+
+def _assert_reports_match_row_writers(trajectories, params, tmp_path):
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    write_cascade_report(new, trajectories, params)
+    reference_write_cascade_report(old, trajectories, params)
+    assert new.read_bytes() == old.read_bytes()
+    scores = naive_scores(trajectories, params)
+    write_naive_scores_report(new, scores)
+    reference_write_naive_scores_report(old, scores)
+    assert new.read_bytes() == old.read_bytes()
+
+
+def test_reports_match_row_writers(tmp_path):
+    for seed in range(6):
+        rng = random.Random(seed)
+        model = make_random_model(rng, max_states=36)
+        config = SimulationConfig(rng.uniform(5.0, 30.0), 40, seed)
+        ensemble = sample_ensemble(model, None, config)
+        params = NaiveParams(default_fast_threshold(ensemble), 2)
+        _assert_reports_match_row_writers(ensemble, params, tmp_path)
+        # members with no events, and the empty ensemble
+        trajectories = list(ensemble) + [_first_events(ensemble[0], 0)]
+        _assert_reports_match_row_writers(trajectories, params, tmp_path)
+        _assert_reports_match_row_writers([], params, tmp_path)
+    for max_active in (0, 1, 3):
+        result = compare_rednt_vs_naive(experiment_spec("chain3").build_model(),
+                                        SimulationConfig(20.0, 30, 2), None,
+                                        max_active=max_active)
+        write_comparison_report(tmp_path / "new.csv", result)
+        reference_write_comparison_report(tmp_path / "old.csv", result)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_cascade_report_keeps_trajectory_ids(tmp_path):
+    # ids neither consecutive nor sorted in the file
+    log = tmp_path / "log.csv"
+    log.write_text("trajectory_id,time,process,state\n9,0.0,A,0\n9,0.0,B,0\n"
+                   "5,0.0,A,0\n5,0.0,B,1\n9,1.0,A,1\n9,1.2,B,1\n5,3.0,A,1\n"
+                   "5,3.1,B,0\n9,1.3,A,0\n5,3.3,A,0\n")
+    ensemble, _ = read_ensemble_csv(log)
+    path = tmp_path / "cascades.csv"
+    write_cascade_report(path, ensemble, NaiveParams(0.5, 2))
+    assert path.read_text().splitlines() == [
+        "trajectory_id,start_time,end_time,length,sentry_state_bits",
+        "5,3.1000000000000001,3.2999999999999998,2,11",
+        "9,1.2,1.3,2,10"]
+    reference_write_cascade_report(tmp_path / "old.csv", list(ensemble), NaiveParams(0.5, 2),
+                                   ids=[5, 9])
+    assert path.read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 # -- thresholds --------------------------------------------------------------------------
@@ -477,6 +559,16 @@ def test_pipeline_filters_by_max_active(chain3):
         assert result.max_active == max_active
         assert len(result.rednt_ranking) == len(result.jaccard) == count
         assert sorted(result.naive_ranking) == sorted(result.rednt_ranking)
+
+
+def test_naive_ranking_breaks_ties_by_state_index():
+    # a short horizon leaves most low-activity states unvisited: score and count 0
+    model = experiment_spec("chain5").build_model()
+    result = compare_rednt_vs_naive(model, SimulationConfig(2.0, 5, 3), None, max_active=2)
+    keys = [(-result.scores.score(s), -result.scores.count(s), state_index(s, model))
+            for s in result.naive_ranking]
+    assert keys == sorted(keys)
+    assert sum(key[:2] == (0.0, 0) for key in keys) >= 5
 
 
 def test_explicit_params_respected(chain3):

@@ -6,6 +6,8 @@ import pytest
 from ctbn_sentry import save_model
 from ctbn_sentry.cli import main
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 
 @pytest.fixture()
 def chain3_path(chain3, tmp_path):
@@ -156,6 +158,12 @@ def test_sentry_exact_absorbing_state(tmp_path):
     assert out.read_text().strip().splitlines()[-1] == "00,0,0,1,0"
 
 
+def test_sentry_exact_golden(chain3_path, tmp_path):
+    out = tmp_path / "sentry.csv"
+    assert run(["sentry", chain3_path, "--exact", "--alpha", "0.1", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "sentry_chain3_exact.csv").read_bytes()
+
+
 @pytest.mark.parametrize("command", [["sentry", "model.json", "--out", "s.csv"],
                                      ["experiment", "chain3", "--out", "x"]])
 def test_negative_max_active_usage_error(command, capsys):
@@ -163,6 +171,43 @@ def test_negative_max_active_usage_error(command, capsys):
         run(command + ["--max-active", "-1"])
     assert exc.value.code == 2
     assert "non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"max-active": -1}, "argument --max-active: expected a non-negative integer, got -1"),
+    ({"trajectories": 2.5}, "argument --trajectories: invalid _positive_int value: '2.5'"),
+    ({"exact": "no"}, "argument --exact: config value must be true or false, got 'no'"),
+])
+def test_config_values_are_checked_like_flags(values, message, chain3_path, tmp_path,
+                                              capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    out = tmp_path / "s.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["--config", str(config), "sentry", chain3_path, "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_values_for_experiment_are_checked(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_active": -1}))
+    with pytest.raises(SystemExit) as exc:
+        run(["--config", str(config), "experiment", "chain3", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_boolean_and_flag_precedence(chain3_path, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"exact": True, "alpha": 0.1, "trajectories": 2.5}))
+    out = tmp_path / "s.csv"
+    # the flag replaces the bad config value, so only the flag is parsed
+    assert run(["--config", str(config), "sentry", chain3_path, "--trajectories", "5",
+                "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "sentry_chain3_exact.csv").read_bytes()
 
 
 # -- cascades ----------------------------------------------------------------------
@@ -181,6 +226,15 @@ def test_cascades_pipeline(chain3_path, tmp_path):
     assert len(cascade_lines) > 30
     best = score_lines[1].split(",")
     assert best[0] == "100"  # the root-on state launches the most cascades
+
+
+def test_cascades_golden(tmp_path):
+    out_c, out_s = tmp_path / "c.csv", tmp_path / "s.csv"
+    assert run(["cascades", str(GOLDEN / "two_members.csv"), "--fast-threshold", "0.5",
+                "--min-length", "2", "--out-cascades", str(out_c),
+                "--out-scores", str(out_s)]) == 0
+    assert out_c.read_bytes() == (GOLDEN / "two_members_cascades.csv").read_bytes()
+    assert out_s.read_bytes() == (GOLDEN / "two_members_naive_scores.csv").read_bytes()
 
 
 def test_cascades_empty_input(tmp_path):

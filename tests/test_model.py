@@ -2,9 +2,11 @@ import itertools
 import json
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,7 @@ from ctbn_sentry import (
     InvalidModelError,
     ProcessSpec,
     StateSpaceCapError,
+    StateSpaceGraph,
     amalgamate,
     ancestral_subprocess,
     build_replicator_ctbn,
@@ -45,6 +48,9 @@ from conftest import (
     toggler_model,
     zero_rate_model,
 )
+from ctbn_sentry.model import state_bits, states_from_indices
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def binary3():
@@ -201,6 +207,40 @@ def test_index_bijection_random_cardinalities(cards):
     assert len(seen) == m.state_count
 
 
+def test_states_from_indices_matches_scalar_decode():
+    rng = np.random.default_rng(11)
+    threes = 0
+    for _ in range(30):
+        cards = rng.integers(2, 5, rng.integers(1, 7)).tolist()
+        threes += 3 in cards
+        gs = StateSpaceGraph(tuple(cards))
+        indices = rng.integers(0, gs.node_count, 40)
+        got = states_from_indices(indices, cards)
+        assert got.dtype == np.int64 and got.shape == (40, len(cards))
+        want = [state_from_index(int(i), gs) for i in indices]
+        assert list(map(tuple, got.tolist())) == want
+        # any index shape: one row of digits per index
+        assert np.array_equal(states_from_indices(indices.reshape(5, 8), cards),
+                              got.reshape(5, 8, len(cards)))
+        assert state_bits(got) == ["".join(map(str, x)) for x in want]
+    assert threes >= 5
+
+
+@pytest.mark.parametrize("index", [-1, 8, 1 << 40])
+def test_states_from_indices_out_of_range_message(index):
+    m = binary3()
+    with pytest.raises(ValueError) as scalar:
+        state_from_index(index, m)
+    with pytest.raises(ValueError) as vector:
+        states_from_indices([0, 7, index, 3], m.cardinalities)
+    assert str(vector.value) == str(scalar.value)
+
+
+def test_state_bits_joins_multi_digit_states():
+    assert state_bits(np.array([[0, 11, 2], [10, 0, 1]])) == ["0112", "1001"]
+    assert state_bits(np.zeros((0, 3), dtype=np.int64)) == []
+
+
 # -- local rates ---------------------------------------------------------------
 
 
@@ -293,11 +333,39 @@ def _amalgamate_loop(model):
     return Q
 
 
+def _intensity_matrix_reference(model):
+    """The construction that read each CIM row by its own parent-configuration
+    arithmetic, before the rows came from the model's rate table."""
+    gs = build_state_space_graph(model)
+    n = gs.node_count
+    idx = np.arange(n, dtype=np.int64)
+    digits = [(idx // m) % c for m, c in zip(gs.multipliers, gs.cardinalities)]
+    rates = np.empty((n, gs.degree))
+    neighbors = np.empty((n, gs.degree), dtype=np.int64)
+    col = 0
+    for j, cim in enumerate(model.cims):
+        config = np.zeros(n, dtype=np.int64)
+        for p, pm in zip(model.parent_indices[j], model.parent_multipliers[j]):
+            config += digits[p] * pm
+        active = cim.matrices[config, digits[j]]
+        for k in range(gs.cardinalities[j] - 1):
+            target = k + (k >= digits[j])
+            rates[:, col] = active[idx, target]
+            neighbors[:, col] = idx + (target - digits[j]) * gs.multipliers[j]
+            col += 1
+    off = sp.csr_matrix((rates.ravel(), neighbors.ravel(), np.arange(n + 1) * gs.degree),
+                        shape=(n, n))
+    return (off - sp.diags(rates.sum(axis=1))).tocsr()
+
+
 def test_intensity_matrix_matches_loop_reference():
     rng = random.Random(7)
     for _ in range(8):
         m = make_random_model(rng)
         Q = intensity_matrix(m)
+        ref = _intensity_matrix_reference(m)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(Q, name), getattr(ref, name))
         degree = sum(c - 1 for c in m.cardinalities)
         assert Q.format == "csr"
         assert Q.nnz == m.state_count * (1 + degree)
@@ -503,6 +571,25 @@ def test_ancestral_subprocess_rejects_non_ancestral(chain3):
         ancestral_subprocess(chain3, {"B", "C"})
 
 
+def _marginal_loop(model, sub, kept):
+    """The per-state loop the bincount replaced."""
+    dist = np.zeros(sub.state_count)
+    for i, x in enumerate(enumerate_states(model)):
+        dist[state_index(tuple(x[j] for j in kept), sub)] += model.initial_distribution[i]
+    return dist
+
+
+def test_ancestral_subprocess_matches_loop_on_random_distribution():
+    rng = np.random.default_rng(3)
+    model = experiment_spec("complex9").build_model()  # A, B, C drive D, which drives a chain
+    for keep in ({"A"}, {"B", "C"}, {"A", "B", "C", "D", "E"}, set(model.names)):
+        dist = rng.random(model.state_count)
+        m = CtbnModel(model.processes, model.cims, initial_distribution=dist / dist.sum())
+        sub = ancestral_subprocess(m, keep)
+        kept = [j for j, name in enumerate(m.names) if name in keep]
+        assert np.array_equal(sub.initial_distribution, _marginal_loop(m, sub, kept))
+
+
 def test_ancestral_subprocess_marginalizes_distribution(chain3):
     dist = np.arange(1.0, 9.0)
     dist /= dist.sum()
@@ -541,3 +628,4 @@ def test_ctbn_graph_and_dot(chain3):
     assert '"A" -> "B";' in dot and dot.startswith("digraph")
     sdot = state_space_to_dot(chain3)
     assert sdot.count(" -- ") == 12  # cube graph edges
+    assert sdot == (GOLDEN / "state_space_chain3.dot").read_text()

@@ -556,7 +556,7 @@ def test_ednt_mc_epsilon_reports_trajectories_spent(chain3):
     (0.02, 1100, None),  # states stop in different rounds, one on a short last batch
     (None, 300, None),  # fixed count: one batch of the cap per state
     (0.02, 1100, 3),  # a round spans several engine calls
-    (0.02, 1100, 0),  # a budget below one batch: one batch per call
+    (0.02, 1100, 0.75),  # a budget below one batch: batches span calls
 ], ids=["epsilon", "fixed-count", "small-budget", "below-one-batch"])
 def test_ednt_mc_rounds_match_per_state_rule(chain3, monkeypatch, epsilon, cap,
                                               batches_per_call):
@@ -565,7 +565,7 @@ def test_ednt_mc_rounds_match_per_state_rule(chain3, monkeypatch, epsilon, cap,
                                cap=cap, seed=5) for i in states]
     if batches_per_call is not None:
         monkeypatch.setattr(sentry_module, "MC_CALL_BYTES",
-                            batches_per_call * sentry_module.MC_BATCH
+                            int(batches_per_call * sentry_module.MC_BATCH)
                             * _step_bytes(chain3.rate_table))
     calls = []
     real = sentry_module._steps
@@ -581,16 +581,44 @@ def test_ednt_mc_rounds_match_per_state_rule(chain3, monkeypatch, epsilon, cap,
     counts = table.trajectory_counts
     batch = cap if epsilon is None else sentry_module.MC_BATCH
     rounds = -(-counts.max() // batch)
-    assert sum(calls) == counts.sum()
     if epsilon is not None:
         assert len(set(counts.tolist())) >= 3
         assert set(table.stopped_by.tolist()) == {"halfwidth", "cap"}
+    # each round's trajectories, cut into calls of the budget's size
+    limit = sentry_module.MC_CALL_BYTES // _step_bytes(chain3.rate_table)
+    want_calls = []
+    for r in range(rounds):
+        size = np.clip(counts - r * batch, 0, batch).sum()
+        want_calls += [limit] * (size // limit) + [size % limit] * bool(size % limit)
+    assert calls == want_calls
     if batches_per_call is None:
         assert len(calls) == rounds  # every running state's batch in one call per round
-    elif batches_per_call:
-        assert max(calls) <= batches_per_call * batch and len(calls) > rounds
     else:
-        assert len(calls) == (-(-counts // batch)).sum()
+        assert len(calls) > rounds
+
+
+def test_engine_calls_stay_within_the_budget(chain3, monkeypatch):
+    # fixed counts past the budget: one state's batch spans several calls
+    limit = sentry_module.MC_CALL_BYTES // _step_bytes(chain3.rate_table)
+    config = SimulationConfig(5.0, 2 * limit + 300, 4)
+    states = [0, 5]
+    calls = []
+    real = sentry_module._steps
+    monkeypatch.setattr(sentry_module, "_steps",
+                        lambda table, keys, *args: calls.append(keys.size)
+                        or real(table, keys, *args))
+    table = ednt_mc(chain3, 0.5, config, states=states)
+    total = len(states) * config.trajectory_count
+    assert calls == [limit] * (total // limit) + [total % limit]
+    mean, stderr = discounted_reward_mc(chain3, (1, 0, 1), RewardSpec(0.5), config)
+    assert calls[-3:] == [limit, limit, 300]
+    assert (mean, stderr) == (table.estimates[1], table.stderrs[1])
+    # the same scores as with every state's batch in one call
+    monkeypatch.setattr(sentry_module, "MC_CALL_BYTES", 1 << 40)
+    whole = ednt_mc(chain3, 0.5, config, states=states)
+    assert calls[-1] == total
+    assert whole.estimates.tolist() == table.estimates.tolist()
+    assert whole.stderrs.tolist() == table.stderrs.tolist()
 
 
 @pytest.mark.parametrize("alpha, epsilon, message", [

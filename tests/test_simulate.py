@@ -1,3 +1,5 @@
+import csv
+import itertools
 import math
 import random
 
@@ -21,8 +23,9 @@ from ctbn_sentry import (
     write_ensemble_csv,
     write_trajectory_csv,
 )
-from ctbn_sentry.simulate import _MASK64, _member_keys, _splitmix64, _stream
-from conftest import make_random_model, toggler_model, zero_rate_model
+from ctbn_sentry import simulate as simulate_module
+from ctbn_sentry.simulate import _MASK64, _member_keys, _splitmix64, _stream, format_float
+from conftest import make_random_model, random_trajectories, toggler_model, zero_rate_model
 
 
 def test_seed_derivation_is_pinned():
@@ -264,6 +267,94 @@ def test_read_ensemble_csv_orders_members_by_id(tmp_path):
     assert [t.times.tolist() for t in ensemble] == [[2.0], [0.5, 0.9]]
     assert [t.processes.tolist() for t in ensemble] == [[1], [0, 1]]
     assert ensemble.t_end == 2.0  # the last event time in the file
+
+
+def test_ensemble_ids_survive_a_round_trip(tmp_path):
+    # ids neither consecutive nor sorted in the file: members come back by id
+    path = tmp_path / "ids.csv"
+    path.write_text("trajectory_id,time,process,state\n9,0.0,A,0\n9,0.0,B,1\n"
+                    "5,0.0,A,1\n9,0.5,A,1\n5,0.0,B,0\n5,2.0,B,1\n9,0.9,B,0\n")
+    ensemble, names = read_ensemble_csv(path)
+    assert ensemble.ids.tolist() == [5, 9]
+    assert ensemble[1:].ids.tolist() == [9]
+    out = tmp_path / "out.csv"
+    write_ensemble_csv(ensemble, out, names)
+    assert out.read_text().splitlines() == [
+        "trajectory_id,time,process,state", "5,0.0,A,1", "5,0.0,B,0", "5,2,B,1",
+        "9,0.0,A,0", "9,0.0,B,1", "9,0.5,A,1", "9,0.90000000000000002,B,0"]
+    again, _ = read_ensemble_csv(out)
+    assert again.ids.tolist() == [5, 9]
+    for a, b in zip(again, ensemble):
+        assert a.initial_state == b.initial_state
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a.processes, b.processes)
+
+
+def test_ensemble_ids_default_to_ordinals(chain3):
+    ensemble = sample_ensemble(chain3, None, SimulationConfig(5.0, 4, 1))
+    assert ensemble.ids.tolist() == [0, 1, 2, 3]
+    assert Ensemble.from_trajectories(list(ensemble)[1:]).ids.tolist() == [0, 1, 2]
+    with pytest.raises(ValueError, match="2 ids for 4 members"):
+        Ensemble(ensemble.times, ensemble.processes, ensemble.new_states, ensemble.offsets,
+                 ensemble.initial_states, ensemble.t_end, [3, 4])
+
+
+def _reference_rows(w, trajectory, names, prefix):
+    for j, v in enumerate(trajectory.initial_state):
+        w.writerow([*prefix, "0.0", names[j], v])
+    for t, p, s in zip(trajectory.times.tolist(), trajectory.processes.tolist(),
+                       trajectory.new_states.tolist()):
+        w.writerow([*prefix, format_float(t), names[p], s])
+
+
+def reference_write_trajectory_csv(trajectory, path, names):
+    """The row-by-row writer the columnar one replaced."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["time", "process", "state"])
+        _reference_rows(w, trajectory, names, ())
+
+
+def reference_write_ensemble_csv(trajectories, path, names, ids=None):
+    """The row-by-row writer the columnar one replaced; ids default to ordinals."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["trajectory_id", "time", "process", "state"])
+        for k, traj in zip(itertools.count() if ids is None else ids, trajectories):
+            _reference_rows(w, traj, names, (k,))
+
+
+@pytest.mark.parametrize("part_events", [1, 7, 1 << 16])
+def test_trajectory_writers_match_row_writers(part_events, monkeypatch, tmp_path):
+    # tiny parts cut the ensemble between members and the rows of one member
+    monkeypatch.setattr(simulate_module, "_PART_EVENTS", part_events)
+    rng = np.random.default_rng(part_events)
+    five = ["A", "B,1", 'say "hi"', " pad", "E"]  # names the CSV must quote
+    seventy = [f"P{j}" + ',"x"' * (j % 9 == 0) for j in range(70)]  # the wide scan case
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    for names, card in ((five, 2), (five, 3), (five, 12), (seventy, 2)):
+        trajectories = random_trajectories(rng, len(names), card)
+        ensemble = Ensemble.from_trajectories(trajectories)
+        write_ensemble_csv(ensemble, new, names)
+        reference_write_ensemble_csv(trajectories, old, names)
+        assert new.read_bytes() == old.read_bytes()
+        write_ensemble_csv(trajectories, new, names)  # a list of trajectories too
+        assert new.read_bytes() == old.read_bytes()
+        shuffled = Ensemble(ensemble.times, ensemble.processes, ensemble.new_states,
+                            ensemble.offsets, ensemble.initial_states, ensemble.t_end,
+                            [40, 3, 17, 5, 1, 99, 2, 8])
+        write_ensemble_csv(shuffled, new, names)
+        reference_write_ensemble_csv(trajectories, old, names, shuffled.ids.tolist())
+        assert new.read_bytes() == old.read_bytes()
+        for traj in trajectories:
+            write_trajectory_csv(traj, new, names)
+            reference_write_trajectory_csv(traj, old, names)
+            assert new.read_bytes() == old.read_bytes()
+    model = make_random_model(random.Random(2), max_states=36)
+    ensemble = sample_ensemble(model, None, SimulationConfig(20.0, 30, 4))
+    write_ensemble_csv(ensemble, new, model.names)
+    reference_write_ensemble_csv(ensemble, old, model.names)
+    assert new.read_bytes() == old.read_bytes()
 
 
 def test_ensemble_views_and_slices(chain3):
