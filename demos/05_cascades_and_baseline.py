@@ -47,10 +47,10 @@ for state in top:
     print(f"  {bits}  {scores.counts[state]:6d}  {scores.visits[state]:6d}  "
           f"{scores.score(state):.3f}")
 
-# Head-to-head with the discounted ranking, restricted to states with at
-# most as many active alarms as the largest parent set (here: one).
-result = compare_rednt_vs_naive(model, SimulationConfig(60.0, 2000, 17),
-                                None, k_range=[1, 2, 3, 4], alpha=spec.alpha)
+# Head-to-head with the discounted ranking on the same ensemble (so the same
+# pooled-median threshold), restricted to states with at most as many active
+# alarms as the largest parent set (here: one).
+result = compare_rednt_vs_naive(model, ensemble, k_range=[1, 2, 3, 4], alpha=spec.alpha)
 print("\ndiscounted ranking:", ["".join(map(str, s)) for s in result.rednt_ranking])
 print("naive ranking:     ", ["".join(map(str, s)) for s in result.naive_ranking])
 print("jaccard@k:", {k: round(j, 3) for k, j in result.jaccard})

@@ -10,21 +10,16 @@ Count) and the fraction of its visits that did so (Naive Score).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .graphs import condensation, induced_subgraph
-from .model import (
-    CtbnModel,
-    build_state_space_graph,
-    low_activity_states,
-    states_from_indices,
-)
+from .model import CtbnModel, build_state_space_graph, states_from_indices
 from .sentry import RedntRanking, ednt_exact, rank_sentry_states, rednt
-from .simulate import (Ensemble, SimulationConfig, Trajectory, _parts, _write_table,
-                       sample_ensemble)
+from .simulate import Ensemble, Trajectory, _parts, _write_table
 
 
 @dataclass(frozen=True)
@@ -195,6 +190,12 @@ class NaiveScores:
         return self.counts.get(tuple(state), 0) / v
 
 
+def _naive_order(scores: NaiveScores, states: Iterable[tuple]) -> list[tuple]:
+    """The naive ranking of `states`: score descending, then count
+    descending, then state ascending."""
+    return sorted(states, key=lambda s: (-scores.score(s), -scores.count(s), s))
+
+
 def naive_scores(trajectories: Ensemble | Iterable[Trajectory],
                  params: NaiveParams) -> NaiveScores:
     """Aggregate cascade starts and visits over a trajectory collection.
@@ -214,12 +215,14 @@ def naive_scores(trajectories: Ensemble | Iterable[Trajectory],
 
 
 def default_fast_threshold(trajectories: Ensemble | Iterable[Trajectory]) -> float:
-    """Median inter-event gap, pooled across trajectories and event types."""
+    """Median inter-event gap, pooled across trajectories and event types.
+
+    When no trajectory has two events there is no gap, so no event of the
+    data can be fast at any threshold: the result is then ``math.inf``.
+    """
     gaps = _gaps(Ensemble.from_trajectories(trajectories))
     gaps = gaps[~np.isnan(gaps)]
-    if not gaps.size:
-        raise ValueError("need at least two events in some trajectory to pool gaps")
-    return float(np.median(gaps))
+    return float(np.median(gaps)) if gaps.size else math.inf
 
 
 def suggested_min_cascade_length(graph, slow_processes: Iterable[str]) -> int:
@@ -269,9 +272,9 @@ def jaccard_at_k(ranking_a: Sequence, ranking_b: Sequence, k: int) -> float:
 
 @dataclass(frozen=True)
 class ComparisonResult:
-    """The analysis of one model: exact EDNT, its REDNT ranking, and the
-    Jaccard@k between the REDNT and naive-score rankings of the low-activity
-    states."""
+    """The analysis of one model: the REDNT ranking of its exact EDNT (the
+    ranking keeps the EDNT), and the Jaccard@k between the REDNT and
+    naive-score rankings of the low-activity states."""
 
     jaccard: tuple[tuple[int, float], ...]
     rednt_ranking: tuple[tuple[int, ...], ...]
@@ -279,49 +282,43 @@ class ComparisonResult:
     fast_threshold: float
     max_active: int
     scores: NaiveScores
-    ednt: np.ndarray
     ranking: RedntRanking
 
 
 def compare_rednt_vs_naive(
     model: CtbnModel,
-    config: SimulationConfig,
-    fast_threshold: float | None,
+    trajectories: Ensemble | Iterable[Trajectory],
+    fast_threshold: float | None = None,
     k_range: Iterable[int] | None = None,
     alpha: float = 0.1,
     min_cascade_length: int = 2,
-    trajectories: Sequence[Trajectory] | None = None,
     max_active: int | None = None,
 ) -> ComparisonResult:
-    """Solve EDNT exactly, rank by REDNT and by the naive score, then compare.
+    """Solve EDNT exactly, rank by REDNT and by the naive score over the
+    given trajectories, then compare.
 
     Both rankings are restricted to states with at most ``max_active``
     active alarms; ``None`` takes the size of the model's largest parent
-    set.  ``fast_threshold=None`` selects the pooled median gap of the
-    ensemble; cascades need ``min_cascade_length`` fast events either way.
-    ``k_range=None`` evaluates every k up to the full ranking length.  The
-    naive list orders by score descending with count and then state index
-    as tiebreaks.  A pre-sampled ensemble can be passed to avoid
-    re-simulation; by default one is drawn from `config`.
+    set.  ``fast_threshold=None`` selects :func:`default_fast_threshold` of
+    the trajectories; cascades need ``min_cascade_length`` fast events
+    either way.  ``k_range=None`` evaluates every k up to the full ranking
+    length.  The naive list orders the REDNT list's states as
+    :func:`write_naive_scores_report` does.
     """
     if max_active is None:
         max_active = max((len(p.parents) for p in model.processes), default=0)
     gs = build_state_space_graph(model)
-    filtered = _tuples(states_from_indices(low_activity_states(model, max_active),
-                                           model.cardinalities))
-    ednt = ednt_exact(model, alpha)
-    ranking = rednt(ednt, gs)
+    ranking = rednt(ednt_exact(model, alpha), gs)
     rednt_list = rank_sentry_states(ranking, max_active)
 
-    if trajectories is None:
-        trajectories = sample_ensemble(model, None, config)
+    trajectories = Ensemble.from_trajectories(trajectories)
     if fast_threshold is None:
         fast_threshold = default_fast_threshold(trajectories)
     scores = naive_scores(trajectories, NaiveParams(fast_threshold, min_cascade_length))
-    naive_list = sorted(filtered, key=lambda s: (-scores.score(s), -scores.count(s)))
+    naive_list = _naive_order(scores, rednt_list)
 
     if k_range is None:
-        k_range = range(1, len(filtered) + 1)
+        k_range = range(1, len(rednt_list) + 1)
     jac = tuple((k, jaccard_at_k(rednt_list, naive_list, k)) for k in k_range)
     return ComparisonResult(
         jaccard=jac,
@@ -330,7 +327,6 @@ def compare_rednt_vs_naive(
         fast_threshold=fast_threshold,
         max_active=max_active,
         scores=scores,
-        ednt=ednt,
         ranking=ranking,
     )
 
@@ -354,10 +350,7 @@ def write_cascade_report(path, trajectories: Ensemble | Iterable[Trajectory],
 
 def write_naive_scores_report(path, scores: NaiveScores) -> None:
     """CSV of per-state naive counts and scores, best score first."""
-    states = sorted(
-        set(scores.visits) | set(scores.counts),
-        key=lambda s: (-scores.score(s), -scores.count(s), s),
-    )
+    states = _naive_order(scores, set(scores.visits) | set(scores.counts))
     rows = np.array(states, dtype=np.int64).reshape(len(states), len(states[0]) if states else 0)
     columns = [rows, [scores.count(s) for s in states],
                np.array([scores.score(s) for s in states], dtype=float),

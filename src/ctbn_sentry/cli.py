@@ -79,11 +79,11 @@ def _load_model(path: str) -> _model.CtbnModel:
     try:
         return _model.load_model(path)
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise _UnreadableInput(f"cannot read model {path!r}: {exc}") from exc
+        raise _InputError(f"cannot read model {path!r}: {exc}") from exc
 
 
-class _UnreadableInput(Exception):
-    pass
+class _InputError(Exception):
+    """Unreadable input, or a usage error the parser cannot see: exit 2."""
 
 
 def _node_set(text: str | None) -> list[str]:
@@ -141,7 +141,7 @@ def cmd_sentry(args) -> int:
         flagged = sorted(set(ranking.flags.values()))
         print(f"note: degenerate REDNT entries present ({', '.join(flagged)})",
               file=sys.stderr)
-    _sentry.write_sentry_report(args.out, model, ednt, ranking)
+    _sentry.write_sentry_report(args.out, ranking)
     print(f"wrote sentry report to {args.out}")
     return EXIT_OK
 
@@ -151,7 +151,7 @@ def cmd_cascades(args) -> int:
         with open(args.trajectories) as fh:
             header = fh.readline().strip()
     except OSError as exc:
-        raise _UnreadableInput(f"cannot read {args.trajectories!r}: {exc}") from exc
+        raise _InputError(f"cannot read {args.trajectories!r}: {exc}") from exc
     if header.startswith("trajectory_id"):
         trajectories, _names = _sim.read_ensemble_csv(args.trajectories)
     else:
@@ -160,12 +160,7 @@ def cmd_cascades(args) -> int:
 
     threshold = args.fast_threshold
     if threshold is None:
-        try:
-            threshold = _cascade.default_fast_threshold(trajectories)
-        except ValueError:
-            # no trajectory has two events, so there is no gap: no event is
-            # fast at any threshold, and the scores still count the visits
-            threshold = math.inf
+        threshold = _cascade.default_fast_threshold(trajectories)
     if threshold < math.inf:
         print(f"fast threshold: {threshold:.6g}")
 
@@ -182,38 +177,42 @@ def cmd_graph(args) -> int:
     g = _model.ctbn_graph(model)
 
     if args.query == "moralize":
-        text = _graphs.ugraph_to_dot(_graphs.moralize(g), "moral")
-        _emit(text, args.out)
-    elif args.query == "condense":
-        cond = _graphs.condensation(g)
+        _emit(_graphs.ugraph_to_dot(_graphs.moralize(g), "moral"), args.out)
+    elif args.query == "separate":
+        cert = _graphs.ctbn_independent(
+            g, _node_set(args.a), _node_set(args.b), _node_set(args.c))
+        _emit(cert.to_json() + "\n", args.out)
+    else:
+        if args.query == "condense":
+            part, name = _graphs.condensation(g), "condensation"
+        else:
+            part, name = _graphs.graph_partition(g, _load_blocks(args.blocks_file)), "partition"
         doc = {
-            "blocks": {name: sorted(members) for name, members in cond.blocks.items()},
-            "edges": [list(e) for e in cond.graph.edges],
-        }
-        _emit(json.dumps(doc, indent=1) + "\n", args.out)
-        if args.dot:
-            Path(args.dot).write_text(_graphs.partition_to_dot(cond, "condensation"))
-    elif args.query == "partition":
-        if not args.blocks_file:
-            raise ValueError("partition requires --blocks-file")
-        try:
-            with open(args.blocks_file) as fh:
-                blocks = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise _UnreadableInput(f"cannot read blocks file: {exc}") from exc
-        part = _graphs.graph_partition(g, blocks)
-        doc = {
-            "blocks": {name: sorted(members) for name, members in part.blocks.items()},
+            "blocks": {block: sorted(members) for block, members in part.blocks.items()},
             "edges": [list(e) for e in part.graph.edges],
         }
         _emit(json.dumps(doc, indent=1) + "\n", args.out)
         if args.dot:
-            Path(args.dot).write_text(_graphs.partition_to_dot(part))
-    else:  # separate
-        cert = _graphs.ctbn_independent(
-            g, _node_set(args.a), _node_set(args.b), _node_set(args.c))
-        _emit(cert.to_json() + "\n", args.out)
+            Path(args.dot).write_text(_graphs.partition_to_dot(part, name))
     return EXIT_OK
+
+
+def _load_blocks(path: str | None) -> dict[str, list[str]]:
+    """The blocks file: a JSON object mapping each block name to a list of
+    node names."""
+    if not path:
+        raise _InputError("partition requires --blocks-file")
+    try:
+        with open(path) as fh:
+            blocks = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise _InputError(f"cannot read blocks file: {exc}") from exc
+    if not (isinstance(blocks, dict) and all(
+            isinstance(members, list) and all(isinstance(node, str) for node in members)
+            for members in blocks.values())):
+        raise _InputError("blocks file must hold a JSON object mapping each block name "
+                          "to a list of node names")
+    return blocks
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -359,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UnreadableInput as exc:
+    except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (_model.InvalidModelError, _model.StateSpaceCapError, ValueError) as exc:

@@ -10,6 +10,7 @@ same rate family.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -136,7 +137,9 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict[str, Path]:
     naive baseline over the analysis ensemble (naive_scores.csv), the
     REDNT-vs-naive comparison (comparison.csv), and a manifest of resolved
     parameters.  Both rankings in the comparison are restricted to states
-    with at most ``spec.max_active`` active alarms.  Deterministic for a
+    with at most ``spec.max_active`` active alarms.  The fast threshold
+    follows :func:`default_fast_threshold` unless the spec fixes one; an
+    infinite one is written to the manifest as null.  Deterministic for a
     fixed spec: identical runs produce byte-identical files.
     """
     out = Path(out_dir)
@@ -154,15 +157,15 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict[str, Path]:
     paths["trajectories"] = out / "trajectories.csv"
     write_ensemble_csv(display, paths["trajectories"], model.names)
 
-    analysis_config = SimulationConfig(
-        spec.t_end, spec.trajectory_count, derive_seed(spec.seed, _ANALYSIS_STREAM))
-    analysis = sample_ensemble(model, None, analysis_config)
+    analysis = sample_ensemble(
+        model, None,
+        SimulationConfig(spec.t_end, spec.trajectory_count,
+                         derive_seed(spec.seed, _ANALYSIS_STREAM)))
     comparison = compare_rednt_vs_naive(
-        model, analysis_config, spec.fast_threshold,
+        model, analysis, spec.fast_threshold,
         k_range=None,  # every k up to the full filtered ranking
         alpha=spec.alpha,
         min_cascade_length=spec.min_cascade_length,
-        trajectories=analysis,
         max_active=spec.max_active,
     )
     params = NaiveParams(comparison.fast_threshold, spec.min_cascade_length)
@@ -171,7 +174,7 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict[str, Path]:
     write_cascade_report(paths["cascades"], display, params)
 
     paths["sentry"] = out / "sentry.csv"
-    write_sentry_report(paths["sentry"], model, comparison.ednt, comparison.ranking)
+    write_sentry_report(paths["sentry"], comparison.ranking)
 
     paths["naive_scores"] = out / "naive_scores.csv"
     write_naive_scores_report(paths["naive_scores"], comparison.scores)
@@ -194,7 +197,9 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict[str, Path]:
         "trajectory_count": spec.trajectory_count,
         "seed": spec.seed,
         "max_active": spec.max_active,
-        "fast_threshold": comparison.fast_threshold,
+        # strict JSON has no infinity: null when the ensemble has no gap
+        "fast_threshold": (comparison.fast_threshold
+                           if math.isfinite(comparison.fast_threshold) else None),
         "min_cascade_length": spec.min_cascade_length,
     }
     with open(paths["manifest"], "w") as fh:

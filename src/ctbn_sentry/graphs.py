@@ -12,6 +12,9 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+import scipy.sparse as sp
+
 NodeSet = frozenset
 
 
@@ -45,9 +48,6 @@ class DiGraph:
 
     def children_of(self, node: str) -> frozenset:
         return frozenset(self._children[node])
-
-    def has_edge(self, u: str, v: str) -> bool:
-        return v in self._children.get(u, ())
 
     def __contains__(self, node: str) -> bool:
         return node in self._parents
@@ -254,12 +254,6 @@ class GraphPartition:
     blocks: Mapping[str, frozenset]
     graph: DiGraph
 
-    def block_of(self, node: str) -> str:
-        for name, members in self.blocks.items():
-            if node in members:
-                return name
-        raise KeyError(node)
-
     def unroll(self, block_names: Iterable[str]) -> frozenset:
         out: set[str] = set()
         for name in block_names:
@@ -297,66 +291,29 @@ def graph_partition(g: DiGraph, blocks: Mapping[str, Iterable[str]]) -> GraphPar
 
 
 def strongly_connected_components(g: DiGraph) -> list[frozenset]:
-    """Tarjan's algorithm, iterative; components in reverse topological order."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    out: list[frozenset] = []
-    counter = 0
+    """The strongly connected components, in the order of their first node
+    in ``g.nodes``."""
+    from scipy.sparse.csgraph import connected_components  # loaded on first use
 
-    for root in g.nodes:
-        if root in index:
-            continue
-        work = [(root, iter(sorted(g.children_of(root))))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, children = work[-1]
-            advanced = False
-            for child in children:
-                if child not in index:
-                    index[child] = low[child] = counter
-                    counter += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(sorted(g.children_of(child)))))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                out.append(frozenset(comp))
-    return out
+    position = {node: i for i, node in enumerate(g.nodes)}
+    n = len(g.nodes)
+    tails, heads = np.array([[position[u], position[v]] for u, v in g.edges],
+                            dtype=np.intp).reshape(-1, 2).T
+    adjacency = sp.csr_matrix((np.ones(tails.size), (tails, heads)), shape=(n, n))
+    _, labels = connected_components(adjacency, connection="strong")
+    comps: dict[int, set[str]] = {}
+    for node, label in zip(g.nodes, labels.tolist()):
+        comps.setdefault(label, set()).add(node)
+    return [frozenset(comp) for comp in comps.values()]
 
 
 def condensation(g: DiGraph) -> GraphPartition:
     """Partition by strongly connected components; the block graph is acyclic.
 
-    Blocks are named after their smallest member node for reproducible
-    output.
+    Blocks are named after their smallest member node and ordered by their
+    first node in the declaration order, for reproducible output.
     """
-    comps = strongly_connected_components(g)
-    # order blocks by first appearance in the node declaration order
-    first_pos = {comp: min(g.nodes.index(n) for n in comp) for comp in comps}
-    ordered = sorted(comps, key=first_pos.get)
-    blocks = {min(comp): comp for comp in ordered}
-    return graph_partition(g, blocks)
+    return graph_partition(g, {min(comp): comp for comp in strongly_connected_components(g)})
 
 
 @dataclass(frozen=True)

@@ -481,11 +481,10 @@ def intensity_matrix(model: CtbnModel) -> sp.csr_matrix:
         for target in _neighbor_targets(digits[:, j], c):
             rates[:, col] = table.rates[row, target]
             col += 1
+    neighbors = gs._neighbor_table(idx, digits)
     del digits
-    off = sp.csr_matrix(
-        (rates.ravel(), gs.neighbor_table(idx).ravel(),
-         np.arange(n + 1) * gs.degree),
-        shape=(n, n))
+    off = sp.csr_matrix((rates.ravel(), neighbors.ravel(), np.arange(n + 1) * gs.degree),
+                        shape=(n, n))
     return (off - sp.diags(rates.sum(axis=1))).tocsr()
 
 
@@ -563,7 +562,11 @@ class StateSpaceGraph:
         ascending (the order of :meth:`neighbors`).
         """
         idx = np.asarray(indices, dtype=np.int64)
-        digits = states_from_indices(idx, self.cardinalities)
+        return self._neighbor_table(idx, states_from_indices(idx, self.cardinalities))
+
+    def _neighbor_table(self, idx: np.ndarray, digits: np.ndarray) -> np.ndarray:
+        """:meth:`neighbor_table` of int64 indices `idx` whose local states
+        `digits` are already decoded."""
         out = np.empty(idx.shape + (self.degree,), dtype=np.int64)
         col = 0
         for j, (c, m) in enumerate(zip(self.cardinalities, self.multipliers)):

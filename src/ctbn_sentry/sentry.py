@@ -110,19 +110,23 @@ class EdntTable:
 class RedntRanking:
     """REDNT values over (a subset of) joint states, sorted best-first.
 
-    ``flags`` marks degenerate entries: 'zero-ednt' when the state itself
-    has EDNT 0 (value pinned to 1), 'infinite' when a neighbor has EDNT 0
-    while the state does not.
+    ``ednt`` and ``stderrs`` are the EDNT and its standard error at each
+    ranked state (stderr 0 for exact values).  ``flags`` marks degenerate
+    entries: 'zero-ednt' when the state itself has EDNT 0 (value pinned to
+    1), 'infinite' when a neighbor has EDNT 0 while the state does not.
     """
 
     graph: StateSpaceGraph
     state_indices: np.ndarray
     values: np.ndarray
+    ednt: np.ndarray
+    stderrs: np.ndarray
     flags: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "state_indices", np.asarray(self.state_indices, dtype=int))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        for name in ("values", "ednt", "stderrs"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
 
     @property
     def positions(self) -> np.ndarray:
@@ -282,17 +286,18 @@ def rednt(ednt: EdntTable | np.ndarray | Sequence[float],
     1.  A zero-EDNT neighbor of a positive-EDNT state yields +inf (flagged
     'infinite'); a zero-EDNT state itself is pinned to 1 (flagged
     'zero-ednt').  With a partial table, only states whose entire
-    neighborhood is covered are ranked.
+    neighborhood is covered are ranked.  The ranking keeps each ranked
+    state's EDNT and stderr (0 for an array of exact values).
     """
     if isinstance(ednt, EdntTable):
         by_index = np.argsort(ednt.state_indices, kind="stable")
         indices = ednt.state_indices[by_index]
-        values = ednt.estimates[by_index]
+        values, errors = ednt.estimates[by_index], ednt.stderrs[by_index]
     else:
         values = np.asarray(ednt, dtype=float)
         if values.shape != (gs.node_count,):
             raise ValueError(f"expected {gs.node_count} EDNT values, got {values.shape}")
-        indices = np.arange(gs.node_count)
+        indices, errors = np.arange(gs.node_count), np.zeros(gs.node_count)
 
     # position of every neighbor in `indices`; a partial table may miss some
     neighbors = gs.neighbor_table(indices)
@@ -310,7 +315,7 @@ def rednt(ednt: EdntTable | np.ndarray | Sequence[float],
     flagged = zero | infinite
     labels = np.where(zero, "zero-ednt", "infinite")
     flags = dict(zip(indices[flagged].tolist(), labels[flagged].tolist()))
-    return RedntRanking(gs, indices, np.where(zero, 1.0, ratio), flags)
+    return RedntRanking(gs, indices, np.where(zero, 1.0, ratio), own, errors[covered], flags)
 
 
 def rank_sentry_states(ranking: RedntRanking, max_active: int) -> list[tuple[int, ...]]:
@@ -411,23 +416,14 @@ def _stopping_rule(model: CtbnModel, indices: Sequence[int], alpha: float, t_end
 # -- report ------------------------------------------------------------------------
 
 
-def write_sentry_report(path, model: CtbnModel, ednt: EdntTable | np.ndarray,
-                        ranking: RedntRanking) -> None:
+def write_sentry_report(path, ranking: RedntRanking) -> None:
     """CSV report sorted by REDNT descending.
 
     Columns: state_bits, ednt, ednt_stderr, rednt, active_alarms; state_bits
     renders local states in process order.
     """
     positions = ranking.positions
-    order = ranking.state_indices[positions]
-    if isinstance(ednt, EdntTable):
-        by_index = np.argsort(ednt.state_indices, kind="stable")
-        at = by_index[np.searchsorted(ednt.state_indices, order, sorter=by_index)]
-        values, errors = ednt.estimates[at], ednt.stderrs[at]
-    else:
-        values = np.asarray(ednt, dtype=float)[order]
-        errors = np.zeros(order.size)
-    states = states_from_indices(order, ranking.graph.cardinalities)
+    states = states_from_indices(ranking.state_indices[positions], ranking.graph.cardinalities)
     _write_table(path, ["state_bits", "ednt", "ednt_stderr", "rednt", "active_alarms"],
-                 [[states, values, errors, ranking.values[positions],
-                   np.count_nonzero(states, axis=1)]])
+                 [[states, ranking.ednt[positions], ranking.stderrs[positions],
+                   ranking.values[positions], np.count_nonzero(states, axis=1)]])

@@ -3,10 +3,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ctbn_sentry import Cim, CtbnModel, ProcessSpec, experiment_spec
 from ctbn_sentry import sentry as sentry_module
 from ctbn_sentry import simulate as simulate_module
+
+# Property tests draw the same examples on every run: the seed comes from each
+# test's own hash, and no stored failure of an earlier run is replayed.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 # Canonical three-alarm chain rates, written out longhand so the tests stay
 # independent of the replicator builder.

@@ -153,10 +153,9 @@ def test_criterion_6_rednt_vs_naive_all_shapes():
     for name in ("chain3", "chain5", "cycle5", "fork5", "cycle-chain6", "complex9"):
         spec = experiment_spec(name)
         model = spec.build_model()
-        config = SimulationConfig(spec.t_end, 10_000, spec.seed)
+        ensemble = sample_ensemble(model, None, SimulationConfig(spec.t_end, 10_000, spec.seed))
         outcome = compare_rednt_vs_naive(
-            model, config, None, k_range=[2], alpha=spec.alpha,
-            min_cascade_length=2)
+            model, ensemble, k_range=[2], alpha=spec.alpha, min_cascade_length=2)
         results[name] = dict(outcome.jaccard)[2]
     elapsed = time.perf_counter() - start
     ok = all(j >= 1 / 3 for j in results.values()) and elapsed < 600.0

@@ -1,4 +1,5 @@
 import csv
+import math
 import random
 from collections import Counter
 
@@ -402,9 +403,10 @@ def test_reports_match_row_writers(tmp_path):
         _assert_reports_match_row_writers(trajectories, params, tmp_path)
         _assert_reports_match_row_writers([], params, tmp_path)
     for max_active in (0, 1, 3):
-        result = compare_rednt_vs_naive(experiment_spec("chain3").build_model(),
-                                        SimulationConfig(20.0, 30, 2), None,
-                                        max_active=max_active)
+        model = experiment_spec("chain3").build_model()
+        result = compare_rednt_vs_naive(
+            model, sample_ensemble(model, None, SimulationConfig(20.0, 30, 2)),
+            max_active=max_active)
         write_comparison_report(tmp_path / "new.csv", result)
         reference_write_comparison_report(tmp_path / "old.csv", result)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -447,9 +449,11 @@ def test_median_threshold_pools_across_trajectories():
     assert default_fast_threshold([a, b]) == 3.0
 
 
-def test_median_threshold_requires_gaps():
-    with pytest.raises(ValueError):
-        default_fast_threshold([traj_from_times([1.0], t_end=2.0)])
+def test_median_threshold_without_gaps_is_infinite():
+    # no trajectory has two events: no gap, so no event can be fast
+    assert default_fast_threshold([traj_from_times([1.0], t_end=2.0)]) == math.inf
+    assert default_fast_threshold([traj_from_times([], t_end=2.0)] * 3) == math.inf
+    assert default_fast_threshold([]) == math.inf
 
 
 def test_chain3_threshold_between_extreme_scales(chain3):
@@ -507,8 +511,8 @@ def test_jaccard_symmetric_and_full_coverage(a, b, k):
 def test_chain3_naive_count_leader(chain3):
     # among the at-most-one-alarm states, the state with the root freshly on
     # launches by far the most cascades
-    config = SimulationConfig(50.0, 2000, 99)
-    result = compare_rednt_vs_naive(chain3, config, None, k_range=[1, 2])
+    ensemble = sample_ensemble(chain3, None, SimulationConfig(50.0, 2000, 99))
+    result = compare_rednt_vs_naive(chain3, ensemble, k_range=[1, 2])
     counts = {s: result.scores.count(s) for s in result.rednt_ranking}
     assert max(counts, key=counts.get) == (1, 0, 0)
     assert counts[(1, 0, 0)] > 3 * counts[(0, 1, 0)]
@@ -516,17 +520,16 @@ def test_chain3_naive_count_leader(chain3):
 
 
 def test_chain3_full_list_jaccard_is_one(chain3):
-    config = SimulationConfig(50.0, 500, 99)
-    result = compare_rednt_vs_naive(chain3, config, None, k_range=[4])
+    ensemble = sample_ensemble(chain3, None, SimulationConfig(50.0, 500, 99))
+    result = compare_rednt_vs_naive(chain3, ensemble, k_range=[4])
     assert dict(result.jaccard)[4] == 1.0  # both lists rank the same support
 
 
 def test_six_process_top_state_agreement():
     spec = experiment_spec("cycle-chain6")
     model = spec.build_model()
-    config = SimulationConfig(60.0, 3000, 77)
-    result = compare_rednt_vs_naive(model, config, None, k_range=[1, 2],
-                                    alpha=spec.alpha)
+    ensemble = sample_ensemble(model, None, SimulationConfig(60.0, 3000, 77))
+    result = compare_rednt_vs_naive(model, ensemble, k_range=[1, 2], alpha=spec.alpha)
     assert result.rednt_ranking[0] == (0, 0, 1, 0, 0, 0)
     counts = {s: result.scores.count(s) for s in result.rednt_ranking}
     assert max(counts, key=counts.get) == (0, 0, 1, 0, 0, 0)
@@ -541,21 +544,22 @@ def test_pipeline_solves_exactly_past_old_cap():
     model = build_replicator_ctbn(DiGraph(names, tuple(zip(names[:-1], names[1:]))),
                                   {names[0]}, (1.0, 5.0), 15.0, 0.1)
     assert model.state_count == 8192
-    result = compare_rednt_vs_naive(model, SimulationConfig(2.0, 3, 1), None,
-                                    k_range=[1], alpha=2.0)
+    ensemble = sample_ensemble(model, None, SimulationConfig(2.0, 3, 1))
+    result = compare_rednt_vs_naive(model, ensemble, k_range=[1], alpha=2.0)
     exact = ednt_exact(model, 2.0)
-    assert np.array_equal(result.ednt, exact)
+    assert np.array_equal(result.ranking.ednt, exact)
+    assert not result.ranking.stderrs.any()
     assert np.array_equal(result.ranking.values,
                           rednt(exact, build_state_space_graph(model)).values)
     assert result.max_active == 1 and len(result.rednt_ranking) == 14
 
 
 def test_pipeline_filters_by_max_active(chain3):
-    config = SimulationConfig(30.0, 50, 5)
-    default = compare_rednt_vs_naive(chain3, config, None)
+    ensemble = sample_ensemble(chain3, None, SimulationConfig(30.0, 50, 5))
+    default = compare_rednt_vs_naive(chain3, ensemble)
     assert default.max_active == 1 and len(default.jaccard) == 4
     for max_active, count in ((0, 1), (2, 7), (3, 8)):
-        result = compare_rednt_vs_naive(chain3, config, None, max_active=max_active)
+        result = compare_rednt_vs_naive(chain3, ensemble, max_active=max_active)
         assert result.max_active == max_active
         assert len(result.rednt_ranking) == len(result.jaccard) == count
         assert sorted(result.naive_ranking) == sorted(result.rednt_ranking)
@@ -564,7 +568,8 @@ def test_pipeline_filters_by_max_active(chain3):
 def test_naive_ranking_breaks_ties_by_state_index():
     # a short horizon leaves most low-activity states unvisited: score and count 0
     model = experiment_spec("chain5").build_model()
-    result = compare_rednt_vs_naive(model, SimulationConfig(2.0, 5, 3), None, max_active=2)
+    ensemble = sample_ensemble(model, None, SimulationConfig(2.0, 5, 3))
+    result = compare_rednt_vs_naive(model, ensemble, max_active=2)
     keys = [(-result.scores.score(s), -result.scores.count(s), state_index(s, model))
             for s in result.naive_ranking]
     assert keys == sorted(keys)
@@ -572,12 +577,11 @@ def test_naive_ranking_breaks_ties_by_state_index():
 
 
 def test_explicit_params_respected(chain3):
-    config = SimulationConfig(30.0, 200, 5)
-    result = compare_rednt_vs_naive(chain3, config, 0.04, k_range=[1],
+    ensemble = sample_ensemble(chain3, None, SimulationConfig(30.0, 200, 5))
+    result = compare_rednt_vs_naive(chain3, ensemble, 0.04, k_range=[1],
                                     min_cascade_length=3)
     assert result.fast_threshold == 0.04
     # the minimum length applies with a given threshold too
-    ensemble = sample_ensemble(chain3, None, config)
     assert result.scores == naive_scores(ensemble, NaiveParams(0.04, 3))
     assert result.scores != naive_scores(ensemble, NaiveParams(0.04, 2))
 

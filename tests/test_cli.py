@@ -327,6 +327,48 @@ def test_graph_partition_file(chain3_path, tmp_path, capsys):
     assert doc["edges"] == [["root", "rest"]]
 
 
+def _shape_model(name, tmp_path):
+    from ctbn_sentry import experiment_spec
+
+    path = tmp_path / f"{name}.json"
+    save_model(experiment_spec(name).build_model(), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("shape, query, golden", [
+    ("cycle-chain6", ["condense"], "condense_cycle-chain6"),
+    ("chain3", ["partition", "--blocks-file", str(GOLDEN / "chain3_blocks.json")],
+     "partition_chain3"),
+])
+def test_graph_blocks_and_dot_golden(shape, query, golden, tmp_path):
+    out, dot = tmp_path / "blocks.json", tmp_path / "graph.dot"
+    assert run(["graph", _shape_model(shape, tmp_path), *query, "--dot", str(dot),
+                "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{golden}.json").read_bytes()
+    assert dot.read_bytes() == (GOLDEN / f"{golden}.dot").read_bytes()
+
+
+BAD_BLOCKS = ("error: blocks file must hold a JSON object mapping each block name "
+              "to a list of node names")
+
+
+@pytest.mark.parametrize("blocks", [[1, 2], {"X": 5}, {"root": ["A"], "rest": "BC"},
+                                    {"root": ["A"], "rest": ["B", 3]}, "ABC"],
+                         ids=["list", "number", "string-member", "number-in-list", "string"])
+def test_graph_partition_rejects_malformed_blocks(blocks, chain3_path, tmp_path, capsys):
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps(blocks))
+    assert run(["graph", chain3_path, "partition", "--blocks-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [BAD_BLOCKS]
+
+
+def test_graph_partition_requires_blocks_file(chain3_path, capsys):
+    assert run(["graph", chain3_path, "partition"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: partition requires --blocks-file"]
+
+
 # -- experiment --------------------------------------------------------------------
 
 
@@ -358,6 +400,46 @@ def test_experiment_comparison_uses_max_active(tmp_path, max_active, rows):
     lines = (out / "comparison.csv").read_text().strip().splitlines()
     assert lines[0] == "k,jaccard"
     assert [line.split(",")[0] for line in lines[1:]] == [str(k) for k in range(1, rows + 1)]
+
+
+def test_experiment_golden_bundle(tmp_path):
+    out = tmp_path / "bundle"
+    assert run(["experiment", "chain3", "--seed", "1", "--trajectories", "40",
+                "--t-end", "20", "--out", str(out)]) == 0
+    golden = GOLDEN / "experiment_chain3"
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in golden.iterdir())
+    for path in golden.iterdir():
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_experiment_without_gaps(tmp_path):
+    from ctbn_sentry import SimulationConfig, derive_seed, sample_ensemble, write_ensemble_csv
+    from ctbn_sentry.experiments import _ANALYSIS_STREAM, experiment_spec
+
+    # a horizon this short leaves every analysis trajectory with at most one
+    # event: there is no gap, so the threshold is infinite and nothing is fast
+    out = tmp_path / "bundle"
+    assert run(["experiment", "chain3", "--t-end", "0.001", "--trajectories", "50",
+                "--out", str(out)]) == 0
+    assert (out / "cascades.csv").read_text().splitlines() == [
+        "trajectory_id,start_time,end_time,length,sentry_state_bits"]
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
+    assert manifest["fast_threshold"] is None
+
+    spec = experiment_spec("chain3", t_end=0.001, trajectory_count=50)
+    model = spec.build_model()
+    analysis = sample_ensemble(model, None, SimulationConfig(
+        spec.t_end, 50, derive_seed(spec.seed, _ANALYSIS_STREAM)))
+    log = tmp_path / "analysis.csv"
+    write_ensemble_csv(analysis, log, model.names)
+    scores = tmp_path / "scores.csv"
+    assert run(["cascades", str(log), "--auto-threshold", "--out-cascades",
+                str(tmp_path / "c.csv"), "--out-scores", str(scores)]) == 0
+    assert scores.read_bytes() == (out / "naive_scores.csv").read_bytes()
 
 
 def test_experiment_unknown_name(tmp_path):

@@ -347,6 +347,11 @@ def test_condensation_dag_is_singletons():
     assert set(cond.graph.edges) == set(g.edges)
 
 
+def test_condensation_empty_graph():
+    cond = condensation(DiGraph(()))
+    assert dict(cond.blocks) == {} and cond.graph.nodes == ()
+
+
 def test_condensation_pure_cycle():
     g = DiGraph(("A", "B", "C"), (("A", "B"), ("B", "C"), ("C", "A")))
     cond = condensation(g)
@@ -356,10 +361,13 @@ def test_condensation_pure_cycle():
 
 def test_scc_matches_reachability_definition():
     rng = random.Random(12)
-    for _ in range(40):
-        g = _random_digraph(rng, max_nodes=8)
+    graphs = [DiGraph(())] + [_random_digraph(rng, max_nodes=8) for _ in range(40)]
+    for g in graphs:
         comps = strongly_connected_components(g)
         assert sorted(n for comp in comps for n in comp) == sorted(g.nodes)
+        # components come in the order of their first node
+        firsts = [min(g.nodes.index(n) for n in comp) for comp in comps]
+        assert firsts == sorted(firsts)
         reach = {n: _reachable(g, n) for n in g.nodes}
         for comp in comps:
             for u in comp:

@@ -661,7 +661,7 @@ def test_sentry_report_csv(chain3, tmp_path):
     values = ednt_exact(chain3, 0.1)
     ranking = rednt(values, gs)
     path = tmp_path / "report.csv"
-    write_sentry_report(path, chain3, values, ranking)
+    write_sentry_report(path, ranking)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "state_bits,ednt,ednt_stderr,rednt,active_alarms"
     assert len(lines) == 9
@@ -705,9 +705,13 @@ def _wide_model():
 
 def test_sentry_report_matches_row_writer(chain3, tmp_path):
     low = low_activity_states(chain3, 1, neighbors=True)
+    table = ednt_mc(chain3, 0.3, SimulationConfig(5.0, 40, 3), states=low[::-1])
+    shuffled = np.random.default_rng(2).permutation(len(table))
     cases = [
         (chain3, ednt_exact(chain3, 0.1)),
-        (chain3, ednt_mc(chain3, 0.3, SimulationConfig(5.0, 40, 3), states=low[::-1])),
+        (chain3, table),
+        (chain3, EdntTable(table.state_indices[shuffled], table.estimates[shuffled],
+                           table.stderrs[shuffled], table.trajectory_counts[shuffled])),
         (zero_rate_model(2), ednt_exact(zero_rate_model(2), 0.5)),  # flagged, all ties
         (make_random_model(random.Random(7), max_states=36), None),
         (_wide_model(), None),
@@ -716,8 +720,8 @@ def test_sentry_report_matches_row_writer(chain3, tmp_path):
         if ednt is None:
             ednt = ednt_exact(model, 0.4)
         ranking = rednt(ednt, build_state_space_graph(model))
-        write_sentry_report(tmp_path / f"new{k}.csv", model, ednt, ranking)
+        write_sentry_report(tmp_path / f"new{k}.csv", ranking)
         _reference_sentry_report(tmp_path / f"old{k}.csv", ednt, ranking)
         assert (tmp_path / f"new{k}.csv").read_bytes() == (tmp_path / f"old{k}.csv").read_bytes()
-    rows = (tmp_path / "new4.csv").read_text().splitlines()[1:]
+    rows = (tmp_path / "new5.csv").read_text().splitlines()[1:]
     assert any(len(row.split(",")[0]) == 3 for row in rows)  # a two-digit local state
