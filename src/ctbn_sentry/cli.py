@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: validate, simulate, sentry, cascades, graph, experiment.
-Exit codes: 0 success, 1 domain violation, 2 unreadable input or usage error.
+Exit codes: 0 success, 1 domain violation, 2 unreadable input, a failed write
+or a usage error.
 Every randomized command takes --seed and defaults to a fixed constant, so
 identical invocations produce byte-identical outputs.
 """
@@ -147,11 +148,8 @@ def cmd_sentry(args) -> int:
 
 
 def cmd_cascades(args) -> int:
-    try:
-        with open(args.trajectories) as fh:
-            header = fh.readline().strip()
-    except OSError as exc:
-        raise _InputError(f"cannot read {args.trajectories!r}: {exc}") from exc
+    with open(args.trajectories) as fh:
+        header = fh.readline().strip()
     if header.startswith("trajectory_id"):
         trajectories, _names = _sim.read_ensemble_csv(args.trajectories)
     else:
@@ -314,7 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-active", type=_nonneg_int, default=None)
     p.add_argument("--fast-threshold", type=_positive_float, default=None)
     p.add_argument("--min-length", type=_cascade_length, default=None)
-    p.add_argument("--display-trajectories", type=_positive_int, default=None)
+    p.add_argument("--display-trajectories", type=_positive_int, default=None,
+                   help="write the first N analysis trajectories, at most --trajectories, "
+                        "and their cascade windows")
     p.set_defaults(func=cmd_experiment)
     return parser
 
@@ -358,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
+    except (_InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (_model.InvalidModelError, _model.StateSpaceCapError, ValueError) as exc:

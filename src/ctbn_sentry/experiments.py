@@ -29,8 +29,7 @@ from .simulate import SimulationConfig, derive_seed, sample_ensemble, write_ense
 DEFAULT_SEED = 20210611
 DEFAULT_ALPHA = 0.1
 
-# namespaces for per-purpose seed streams inside one experiment run
-_DISPLAY_STREAM = 1
+# the seed stream of the analysis ensemble inside one experiment run
 _ANALYSIS_STREAM = 2
 
 
@@ -132,35 +131,24 @@ def experiment_spec(name: str, **overrides) -> ExperimentSpec:
 def run_experiment(spec: ExperimentSpec, out_dir) -> dict[str, Path]:
     """Produce the full report bundle for one experiment.
 
-    Writes model.json, a small display ensemble (trajectories.csv) with its
+    Samples one analysis ensemble and writes model.json, its first
+    ``spec.display_trajectories`` members (trajectories.csv) with their
     cascade windows (cascades.csv), the EDNT/REDNT report (sentry.csv), the
-    naive baseline over the analysis ensemble (naive_scores.csv), the
+    naive baseline over the whole ensemble (naive_scores.csv), the
     REDNT-vs-naive comparison (comparison.csv), and a manifest of resolved
     parameters.  Both rankings in the comparison are restricted to states
     with at most ``spec.max_active`` active alarms.  The fast threshold
     follows :func:`default_fast_threshold` unless the spec fixes one; an
-    infinite one is written to the manifest as null.  Deterministic for a
-    fixed spec: identical runs produce byte-identical files.
+    infinite one is written to the manifest as null.  Everything is computed
+    before ``out_dir`` is created, so a failing run writes nothing.
+    Deterministic for a fixed spec: identical runs produce byte-identical files.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
-
     model = spec.build_model()
-    paths["model"] = out / "model.json"
-    save_model(model, paths["model"])
-
-    display = sample_ensemble(
-        model, None,
-        SimulationConfig(spec.t_end, spec.display_trajectories,
-                         derive_seed(spec.seed, _DISPLAY_STREAM)))
-    paths["trajectories"] = out / "trajectories.csv"
-    write_ensemble_csv(display, paths["trajectories"], model.names)
-
     analysis = sample_ensemble(
         model, None,
         SimulationConfig(spec.t_end, spec.trajectory_count,
                          derive_seed(spec.seed, _ANALYSIS_STREAM)))
+    display = analysis[:spec.display_trajectories]
     comparison = compare_rednt_vs_naive(
         model, analysis, spec.fast_threshold,
         k_range=None,  # every k up to the full filtered ranking
@@ -170,19 +158,20 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict[str, Path]:
     )
     params = NaiveParams(comparison.fast_threshold, spec.min_cascade_length)
 
-    paths["cascades"] = out / "cascades.csv"
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {name: out / file for name, file in (
+        ("model", "model.json"), ("trajectories", "trajectories.csv"),
+        ("cascades", "cascades.csv"), ("sentry", "sentry.csv"),
+        ("naive_scores", "naive_scores.csv"), ("comparison", "comparison.csv"),
+        ("manifest", "manifest.json"))}
+    save_model(model, paths["model"])
+    write_ensemble_csv(display, paths["trajectories"], model.names)
     write_cascade_report(paths["cascades"], display, params)
-
-    paths["sentry"] = out / "sentry.csv"
     write_sentry_report(paths["sentry"], comparison.ranking)
-
-    paths["naive_scores"] = out / "naive_scores.csv"
     write_naive_scores_report(paths["naive_scores"], comparison.scores)
-
-    paths["comparison"] = out / "comparison.csv"
     write_comparison_report(paths["comparison"], comparison)
 
-    paths["manifest"] = out / "manifest.json"
     manifest = {
         "experiment": spec.name,
         "nodes": list(spec.nodes),

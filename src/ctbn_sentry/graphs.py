@@ -111,17 +111,22 @@ def closure(g: DiGraph, A: Iterable[str]) -> frozenset:
     return frozenset(A | parents(g, A))
 
 
-def ancestors(g: DiGraph, A: Iterable[str]) -> frozenset:
-    """A together with every node that has a directed path into A."""
+def _reach(g: DiGraph, A: Iterable[str], step) -> frozenset:
+    """A together with every node reached from A by repeated ``step``."""
     A = _check_nodes(g, A)
     seen = set(A)
     stack = list(A)
     while stack:
-        for p in g.parents_of(stack.pop()):
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
+        for n in step(stack.pop()):
+            if n not in seen:
+                seen.add(n)
+                stack.append(n)
     return frozenset(seen)
+
+
+def ancestors(g: DiGraph, A: Iterable[str]) -> frozenset:
+    """A together with every node that has a directed path into A."""
+    return _reach(g, A, g.parents_of)
 
 
 def is_ancestral(g: DiGraph, A: Iterable[str]) -> bool:
@@ -130,15 +135,7 @@ def is_ancestral(g: DiGraph, A: Iterable[str]) -> bool:
 
 
 def descendants(g: DiGraph, A: Iterable[str]) -> frozenset:
-    A = _check_nodes(g, A)
-    seen = set(A)
-    stack = list(A)
-    while stack:
-        for c in g.children_of(stack.pop()):
-            if c not in seen:
-                seen.add(c)
-                stack.append(c)
-    return frozenset(seen)
+    return _reach(g, A, g.children_of)
 
 
 def induced_subgraph(g: DiGraph, A: Iterable[str]) -> DiGraph:

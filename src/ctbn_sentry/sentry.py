@@ -99,12 +99,6 @@ class EdntTable:
     def __len__(self) -> int:
         return len(self.state_indices)
 
-    def as_dict(self) -> dict[int, float]:
-        return dict(zip(self.state_indices.tolist(), self.estimates.tolist()))
-
-    def stderr_dict(self) -> dict[int, float]:
-        return dict(zip(self.state_indices.tolist(), self.stderrs.tolist()))
-
 
 @dataclass(frozen=True)
 class RedntRanking:

@@ -442,7 +442,80 @@ def test_experiment_without_gaps(tmp_path):
     assert scores.read_bytes() == (out / "naive_scores.csv").read_bytes()
 
 
+@pytest.mark.parametrize("display, trajectories", [(5, 30), (50, 30)])
+def test_experiment_display_is_analysis_prefix(tmp_path, display, trajectories):
+    from ctbn_sentry import SimulationConfig, derive_seed, sample_ensemble, write_ensemble_csv
+    from ctbn_sentry.cascade import NaiveParams, write_cascade_report
+    from ctbn_sentry.experiments import _ANALYSIS_STREAM, experiment_spec
+
+    out = tmp_path / "bundle"
+    assert run(["experiment", "fork5", "--seed", "3", "--trajectories", str(trajectories),
+                "--t-end", "15", "--display-trajectories", str(display),
+                "--out", str(out)]) == 0
+    spec = experiment_spec("fork5", seed=3, t_end=15.0)
+    model = spec.build_model()
+    prefix = sample_ensemble(model, None, SimulationConfig(
+        spec.t_end, trajectories, derive_seed(spec.seed, _ANALYSIS_STREAM)))[:display]
+    assert len(prefix) == min(display, trajectories)
+    write_ensemble_csv(prefix, tmp_path / "trajectories.csv", model.names)
+    threshold = json.loads((out / "manifest.json").read_text())["fast_threshold"]
+    write_cascade_report(tmp_path / "cascades.csv", prefix,
+                         NaiveParams(threshold, spec.min_cascade_length))
+    for name in ("trajectories.csv", "cascades.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_experiment_display_uses_its_own_threshold(tmp_path):
+    # one analysis trajectory with no gap: the threshold is infinite, and the
+    # display is that one trajectory, so it has no window either
+    out = tmp_path / "bundle"
+    assert run(["experiment", "chain3", "--t-end", "0.05", "--trajectories", "1",
+                "--display-trajectories", "300", "--out", str(out)]) == 0
+    rows = (out / "trajectories.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"0"}
+    assert (out / "cascades.csv").read_text().splitlines() == [
+        "trajectory_id,start_time,end_time,length,sentry_state_bits"]
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
+    assert manifest["fast_threshold"] is None
+
+
+def test_failed_experiment_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "bundle"
+    assert run(["experiment", "chain3", "--alpha", "nan", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_experiment_unknown_name(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["experiment", "nope", "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
+
+
+# -- failed writes -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "{model}", "--out", "{bad}/D"],
+    ["simulate", "{model}", "--single-file", "--out", "{bad}/x.csv"],
+    ["sentry", "{model}", "--exact", "--out", "{bad}/x.csv"],
+    ["cascades", "{log}", "--auto-threshold", "--out-cascades", "{bad}/c.csv",
+     "--out-scores", "{bad}/s.csv"],
+    ["graph", "{model}", "moralize", "--out", "{bad}/g.dot"],
+    ["graph", "{model}", "condense", "--dot", "{bad}/g.dot"],
+    ["experiment", "chain3", "--trajectories", "20", "--t-end", "5", "--out", "{bad}/D"],
+], ids=["simulate", "simulate-single-file", "sentry", "cascades", "graph-out",
+        "graph-dot", "experiment"])
+def test_failed_write_exits_2(command, chain3_path, tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    assert run(["simulate", chain3_path, "--t-end", "5", "--trajectories", "3",
+                "--single-file", "--out", str(log)]) == 0
+    blocker = tmp_path / "f.txt"  # a regular file: no path below it can be made
+    blocker.write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    argv = [arg.format(model=chain3_path, log=log, bad=blocker) for arg in command]
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert sorted(tmp_path.rglob("*")) == before

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ctbn_sentry import (
+    EXPERIMENTS,
     Cim,
     CtbnModel,
     EdntTable,
@@ -13,10 +14,15 @@ from ctbn_sentry import (
     RewardSpec,
     SimulationConfig,
     amalgamate,
+    ancestors,
+    ancestral_subprocess,
     build_state_space_graph,
+    ctbn_graph,
     discounted_reward_mc,
     ednt_exact,
     ednt_mc,
+    experiment_spec,
+    intensity_matrix,
     rank_sentry_states,
     rednt,
     state_from_index,
@@ -209,6 +215,60 @@ def test_ednt_exact_absorbing_state_is_exactly_zero():
     assert ranking.flags == {0: "zero-ednt", 1: "infinite", 2: "infinite"}
 
 
+def _ednt_by_ancestral_additivity(model, alpha):
+    """Oracle: the transitions of process j depend only on its ancestral
+    closure cl(j), so EDNT(x) = sum_j V_j(x on cl(j)), where V_j solves
+    (alpha I - Q_cl(j)) V_j = q_j on the closure alone and q_j is the exit
+    rate of j alone.  Each closure system is solved by sparse LU."""
+    from scipy.sparse import identity
+    from scipy.sparse.linalg import spsolve
+
+    g = ctbn_graph(model)
+    full = np.unravel_index(np.arange(model.state_count), model.cardinalities)
+    total = np.zeros(model.state_count)
+    for j, proc in enumerate(model.processes):
+        sub = ancestral_subprocess(model, ancestors(g, {proc.name}))
+        states = np.unravel_index(np.arange(sub.state_count), sub.cardinalities)
+        own = states[sub.names.index(proc.name)]
+        parents = [sub.names.index(name) for name in proc.parents]
+        config = (np.ravel_multi_index([states[i] for i in parents],
+                                       [sub.cardinalities[i] for i in parents])
+                  if parents else 0)
+        q_j = -model.cims[j].matrices[config, own, own]
+        Q = intensity_matrix(sub)
+        V = spsolve((alpha * identity(sub.state_count) - Q).tocsc(), q_j)
+        # a closure state without any exit has the row alpha e_i and V_j = 0
+        V[Q.diagonal() == 0] = 0.0
+        kept = [model.names.index(name) for name in sub.names]
+        total += V[np.ravel_multi_index([full[i] for i in kept], sub.cardinalities)]
+    return total
+
+
+def _frozen_child_model():
+    # B moves only while A is on, and A never leaves 0: states 00 and 01
+    # have no exit at all
+    return CtbnModel(
+        (ProcessSpec("A", 2), ProcessSpec("B", 2, ("A",))),
+        (Cim([[[-0.0, 0.0], [0.32, -0.32]]]),
+         Cim([[[0.0, 0.0], [0.0, 0.0]], [[-2.0, 2.0], [1.5, -1.5]]])),
+        initial_state=(0, 0),
+    )
+
+
+@pytest.mark.parametrize("model, alpha", [
+    *[(experiment_spec(name).build_model(), 0.1) for name in sorted(EXPERIMENTS)],
+    *[(make_random_model(random.Random(seed), max_states=64), 0.3) for seed in range(20)],
+    (_frozen_child_model(), 0.2658),
+])
+def test_ednt_exact_matches_ancestral_additivity(model, alpha):
+    want = _ednt_by_ancestral_additivity(model, alpha)
+    got = ednt_exact(model, alpha)
+    positive = want > 0
+    assert np.array_equal(got > 0, positive)
+    assert (got[~positive] == 0).all() and (want[~positive] == 0).all()
+    assert (np.abs(got - want)[positive] <= 1e-10 * want[positive]).all()
+
+
 def test_ednt_exact_reports_unconverged_solve(monkeypatch):
     import ctbn_sentry.sentry as sentry_mod
 
@@ -307,7 +367,7 @@ def test_rednt_partial_table_covers_filtered_states(chain3):
 def _rednt_loop(ednt, gs):
     """Reference REDNT: one Python pass over states and their neighbors."""
     if isinstance(ednt, EdntTable):
-        values = ednt.as_dict()
+        values = dict(zip(ednt.state_indices.tolist(), ednt.estimates.tolist()))
     else:
         values = dict(enumerate(np.asarray(ednt, dtype=float).tolist()))
     out, flags = {}, {}
@@ -674,7 +734,9 @@ def test_sentry_report_csv(chain3, tmp_path):
 def _reference_sentry_report(path, ednt, ranking):
     """The row-by-row writer that the columnar one replaced."""
     if isinstance(ednt, EdntTable):
-        values, errors = ednt.as_dict(), ednt.stderr_dict()
+        indices = ednt.state_indices.tolist()
+        values = dict(zip(indices, ednt.estimates.tolist()))
+        errors = dict(zip(indices, ednt.stderrs.tolist()))
     else:
         values = dict(enumerate(np.asarray(ednt, dtype=float).tolist()))
         errors = {i: 0.0 for i in values}
