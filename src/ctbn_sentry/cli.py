@@ -163,9 +163,10 @@ def cmd_cascades(args) -> int:
         print(f"fast threshold: {threshold:.6g}")
 
     params = _cascade.NaiveParams(threshold, args.min_length)
-    _cascade.write_cascade_report(args.out_cascades, trajectories, params)
-    _cascade.write_naive_scores_report(args.out_scores,
-                                       _cascade.naive_scores(trajectories, params))
+    _sim._write_files([
+        (args.out_cascades, lambda p: _cascade.write_cascade_report(p, trajectories, params)),
+        (args.out_scores, lambda p: _cascade.write_naive_scores_report(
+            p, _cascade.naive_scores(trajectories, params)))])
     print(f"wrote {args.out_cascades} and {args.out_scores}")
     return EXIT_OK
 
@@ -174,12 +175,13 @@ def cmd_graph(args) -> int:
     model = _load_model(args.model)
     g = _model.ctbn_graph(model)
 
+    files = []  # (path, text) pairs to write
     if args.query == "moralize":
-        _emit(_graphs.ugraph_to_dot(_graphs.moralize(g), "moral"), args.out)
+        text = _graphs.ugraph_to_dot(_graphs.moralize(g), "moral")
     elif args.query == "separate":
         cert = _graphs.ctbn_independent(
             g, _node_set(args.a), _node_set(args.b), _node_set(args.c))
-        _emit(cert.to_json() + "\n", args.out)
+        text = cert.to_json() + "\n"
     else:
         if args.query == "condense":
             part, name = _graphs.condensation(g), "condensation"
@@ -189,9 +191,14 @@ def cmd_graph(args) -> int:
             "blocks": {block: sorted(members) for block, members in part.blocks.items()},
             "edges": [list(e) for e in part.graph.edges],
         }
-        _emit(json.dumps(doc, indent=1) + "\n", args.out)
+        text = json.dumps(doc, indent=1) + "\n"
         if args.dot:
-            Path(args.dot).write_text(_graphs.partition_to_dot(part, name))
+            files.append((args.dot, _graphs.partition_to_dot(part, name)))
+    if args.out:
+        files.insert(0, (args.out, text))
+    else:
+        sys.stdout.write(text)
+    _sim._write_files([(path, lambda p, t=t: Path(p).write_text(t)) for path, t in files])
     return EXIT_OK
 
 
@@ -211,13 +218,6 @@ def _load_blocks(path: str | None) -> dict[str, list[str]]:
         raise _InputError("blocks file must hold a JSON object mapping each block name "
                           "to a list of node names")
     return blocks
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
 
 
 def cmd_experiment(args) -> int:

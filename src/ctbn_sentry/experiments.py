@@ -24,7 +24,8 @@ from .cascade import (
 from .graphs import DiGraph
 from .model import CtbnModel, build_replicator_ctbn, save_model
 from .sentry import write_sentry_report
-from .simulate import SimulationConfig, derive_seed, sample_ensemble, write_ensemble_csv
+from .simulate import (SimulationConfig, _write_files, derive_seed, sample_ensemble,
+                       write_ensemble_csv)
 
 DEFAULT_SEED = 20210611
 DEFAULT_ALPHA = 0.1
@@ -140,7 +141,9 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict[str, Path]:
     with at most ``spec.max_active`` active alarms.  The fast threshold
     follows :func:`default_fast_threshold` unless the spec fixes one; an
     infinite one is written to the manifest as null.  Everything is computed
-    before ``out_dir`` is created, so a failing run writes nothing.
+    before ``out_dir`` is created, and a write that fails removes the files
+    and directories the run made before it; files already in ``out_dir``
+    stay.
     Deterministic for a fixed spec: identical runs produce byte-identical files.
     """
     model = spec.build_model()
@@ -157,21 +160,6 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict[str, Path]:
         max_active=spec.max_active,
     )
     params = NaiveParams(comparison.fast_threshold, spec.min_cascade_length)
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {name: out / file for name, file in (
-        ("model", "model.json"), ("trajectories", "trajectories.csv"),
-        ("cascades", "cascades.csv"), ("sentry", "sentry.csv"),
-        ("naive_scores", "naive_scores.csv"), ("comparison", "comparison.csv"),
-        ("manifest", "manifest.json"))}
-    save_model(model, paths["model"])
-    write_ensemble_csv(display, paths["trajectories"], model.names)
-    write_cascade_report(paths["cascades"], display, params)
-    write_sentry_report(paths["sentry"], comparison.ranking)
-    write_naive_scores_report(paths["naive_scores"], comparison.scores)
-    write_comparison_report(paths["comparison"], comparison)
-
     manifest = {
         "experiment": spec.name,
         "nodes": list(spec.nodes),
@@ -191,7 +179,17 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict[str, Path]:
                            if math.isfinite(comparison.fast_threshold) else None),
         "min_cascade_length": spec.min_cascade_length,
     }
-    with open(paths["manifest"], "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return paths
+
+    out = Path(out_dir)
+    writers = {
+        "model.json": lambda p: save_model(model, p),
+        "trajectories.csv": lambda p: write_ensemble_csv(display, p, model.names),
+        "cascades.csv": lambda p: write_cascade_report(p, display, params),
+        "sentry.csv": lambda p: write_sentry_report(p, comparison.ranking),
+        "naive_scores.csv": lambda p: write_naive_scores_report(p, comparison.scores),
+        "comparison.csv": lambda p: write_comparison_report(p, comparison),
+        "manifest.json": lambda p: p.write_text(
+            json.dumps(manifest, indent=1, sort_keys=True) + "\n"),
+    }
+    _write_files([(out / file, write) for file, write in writers.items()], out)
+    return {Path(file).stem: out / file for file in writers}

@@ -111,7 +111,7 @@ def closure(g: DiGraph, A: Iterable[str]) -> frozenset:
     return frozenset(A | parents(g, A))
 
 
-def _reach(g: DiGraph, A: Iterable[str], step) -> frozenset:
+def _reach(g: DiGraph | UGraph, A: Iterable[str], step) -> frozenset:
     """A together with every node reached from A by repeated ``step``."""
     A = _check_nodes(g, A)
     seen = set(A)
@@ -169,19 +169,7 @@ def separated(ug: UGraph, A: Iterable[str], B: Iterable[str], C: Iterable[str]) 
     A, B, C = (_check_nodes(ug, S) for S in (A, B, C))
     if (A & B) or (A & C) or (B & C):
         raise ValueError("A, B, C must be disjoint")
-    if not A or not B:
-        return True
-    seen = set(A)
-    stack = list(A)
-    while stack:
-        for nb in ug.neighbors_of(stack.pop()):
-            if nb in C or nb in seen:
-                continue
-            if nb in B:
-                return False
-            seen.add(nb)
-            stack.append(nb)
-    return True
+    return not _reach(ug, A, lambda n: ug.neighbors_of(n) - C) & B
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,8 @@ from .model import (
     state_index,
     states_from_indices,
 )
-from .simulate import (SimulationConfig, _check_horizon, _member_keys, _sample, _step_bytes,
-                       _steps, _write_table, derive_seed)
+from .simulate import (SimulationConfig, _check_horizon, _member_keys, _step_bytes, _steps,
+                       _write_table, derive_seed)
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 BACKWARD_ERROR_TOL = 1e-14  # componentwise backward error the exact solve must reach
@@ -142,13 +142,36 @@ class RedntRanking:
 # -- Monte Carlo discounted rewards ---------------------------------------------
 
 
-def _counting_scores(table: RateTable, keys: np.ndarray, start: np.ndarray, t_end: float,
-                     alpha: float) -> np.ndarray:
-    """Discounted transition count sum_i e^(-alpha t_i) of the trajectory with
-    each key from its row of `start`, in one engine run."""
+def _scores(table: RateTable, keys: np.ndarray, start: np.ndarray, t_end: float,
+            alpha: float, reward: RewardSpec | None) -> np.ndarray:
+    """Discounted reward of the trajectory with each key from its row of `start`,
+    in one engine run: sum_i e^(-alpha t_i) for `reward` None, else event i adds
+    inst(before) / alpha * (w - e^(-alpha t_i)), w the discount at the event
+    before (1 at t = 0), then e^(-alpha t_i) * lump(before, after), and the last
+    state held adds its discounted occupancy up to ``t_end``."""
     scores = np.zeros(keys.size)
-    for live, t, _, _ in _steps(table, keys, start, t_end):
-        scores[live] += np.exp(-alpha * t)
+    if reward is None:
+        for live, t, _, _ in _steps(table, keys, start, t_end):
+            scores[live] += np.exp(-alpha * t)
+        return scores
+    lump = reward.lump_sum or (lambda x, y: 1.0)
+    inst = reward.instantaneous  # None: no holding-rate terms at all
+    states = list(map(tuple, start.tolist()))  # each trajectory's current state
+    weight = np.ones(keys.size)  # e^(-alpha t) at each trajectory's last event
+    for live, t, j, s in _steps(table, keys, start, t_end):
+        now = np.exp(-alpha * t)
+        members = live.tolist()
+        before = [states[k] for k in members]
+        after = [x[:p] + (v,) + x[p + 1:] for x, p, v in zip(before, j.tolist(), s.tolist())]
+        for k, x in zip(members, after):
+            states[k] = x
+        if inst is not None:
+            scores[live] += np.fromiter(map(inst, before), float) / alpha * (weight[live] - now)
+        scores[live] += now * np.fromiter(map(lump, before, after), float)
+        weight[live] = now
+    if inst is not None:  # close each final segment at t_end
+        last = np.fromiter(map(inst, states), float)
+        scores += last / alpha * (weight - math.exp(-alpha * t_end))
     return scores
 
 
@@ -158,42 +181,15 @@ def discounted_reward_mc(model: CtbnModel, initial: Sequence[int], reward: Rewar
 
     Each trajectory scores sum_i e^(-alpha t_i) * lump(x_before, x_after)
     plus the discounted time integral of the instantaneous reward, truncated
-    at the horizon.  Trajectory k is keyed by derive_seed(seed,
-    state_index(initial), k), the one Monte Carlo stream contract.
+    at the horizon.  Every reward runs in the bounded rounds of
+    :func:`ednt_mc`, with a fixed count of ``config.trajectory_count``.
+    Trajectory k is keyed by derive_seed(seed, state_index(initial), k), the
+    one Monte Carlo stream contract.
     """
-    alpha, t_end = reward.discount, config.t_end
-    index = state_index(initial, model)
-    if reward.counts_transitions:
-        result = _stopping_rule(model, [index], alpha, t_end, None, MC_BATCH,
-                                config.trajectory_count, config.master_seed)[0]
-        return result.estimate, result.stderr
-    keys = _member_keys(derive_seed(config.master_seed, index), range(config.trajectory_count))
-    lump = reward.lump_sum or (lambda x, y: 1.0)
-    inst = reward.instantaneous
-    scores = []
-    for trajectory in _sample(model, keys, initial, t_end):
-        state = list(trajectory.initial_state)
-        total = 0.0
-        weight = 1.0  # e^(-alpha * t) at the last event, here t = 0
-        for t, j, s in trajectory.iter_events():
-            before = tuple(state)
-            state[j] = s
-            now = math.exp(-alpha * t)
-            if inst is not None:
-                total += inst(before) / alpha * (weight - now)
-            total += now * lump(before, tuple(state))
-            weight = now
-        if inst is not None:  # close the final segment at t_end
-            total += inst(tuple(state)) / alpha * (weight - math.exp(-alpha * t_end))
-        scores.append(total)
-    scores = np.array(scores, dtype=float)
-    return float(scores.mean()), _stderr(scores)
-
-
-def _stderr(scores: np.ndarray) -> float:
-    if scores.size < 2:
-        return 0.0
-    return float(scores.std(ddof=1) / math.sqrt(scores.size))
+    result = _stopping_rule(model, [state_index(initial, model)], reward.discount,
+                            config.t_end, None, MC_BATCH, config.trajectory_count,
+                            config.master_seed, reward)[0]
+    return result.estimate, result.stderr
 
 
 def ednt_mc(model: CtbnModel, alpha: float, config: SimulationConfig,
@@ -355,16 +351,17 @@ def stopping_rule_ednt(model: CtbnModel, initial: Sequence[int], alpha: float,
 
 def _stopping_rule(model: CtbnModel, indices: Sequence[int], alpha: float, t_end: float,
                    relative_halfwidth: float | None, batch: int, cap: int,
-                   seed: int) -> list[StoppingResult]:
+                   seed: int, reward: RewardSpec | None = None) -> list[StoppingResult]:
     """The stopping rule for every state in `indices` at once, in rounds.
 
     A round takes the next batch of every running state, ``range(done,
     min(done + batch, cap))`` of its stream, and runs the batches' trajectories
-    through the engine in order, at most ``MC_CALL_BYTES`` live bytes (and at
-    least one trajectory) per call; a batch may span calls, as a score does
-    not depend on the call that ran it.  The scores go back to their states,
-    which then apply the half-width and cap tests.  Arguments are checked
-    before anything is sampled, even for no state.
+    through the engine and :func:`_scores` in order, at most ``MC_CALL_BYTES``
+    live bytes (and at least one trajectory) per call; a batch may span calls,
+    as a score does not depend on the call that ran it.  The scores go back to
+    their states, which then apply the half-width and cap tests.  Every
+    reward runs here (None, the default, counts transitions).  Arguments are
+    checked before anything is sampled, even for no state.
     """
     _check_rate("alpha", alpha)
     _check_horizon(t_end)
@@ -377,7 +374,11 @@ def _stopping_rule(model: CtbnModel, indices: Sequence[int], alpha: float, t_end
     starts = np.array([state_from_index(i, model) for i in indices],  # range check
                       dtype=np.int64).reshape(len(indices), model.process_count)
     table = model.rate_table
-    limit = max(1, MC_CALL_BYTES // _step_bytes(table))  # trajectories per engine call
+    reward = None if reward is None or reward.counts_transitions else reward  # None: counts
+    # live bytes per trajectory: the engine's, and for a general reward the state
+    # before and after its event (two tuples) and about 20 more words
+    step = _step_bytes(table) + (0 if reward is None else 8 * (2 * model.process_count + 20))
+    limit = max(1, MC_CALL_BYTES // step)  # trajectories per engine call
     bases = np.array([derive_seed(seed, i) for i in indices], dtype=np.uint64)
     scores = [np.empty(0) for _ in indices]
     results: list[StoppingResult | None] = [None] * len(indices)
@@ -390,19 +391,20 @@ def _stopping_rule(model: CtbnModel, indices: Sequence[int], alpha: float, t_end
                              for i, size in zip(running, sizes)])
         cuts = range(limit, ks.size, limit)  # engine calls of at most `limit` trajectories
         got = np.concatenate([
-            _counting_scores(table, _member_keys(bases[o], k), starts[o], t_end, alpha)
+            _scores(table, _member_keys(bases[o], k), starts[o], t_end, alpha, reward)
             for o, k in zip(np.split(owner, cuts), np.split(ks, cuts))])
         for i, part in zip(running, np.split(got, np.cumsum(sizes)[:-1])):
             scores[i] = np.concatenate((scores[i], part))
         for i in running:
+            done = scores[i].size
             est = float(scores[i].mean())
-            se = _stderr(scores[i])
+            se = float(scores[i].std(ddof=1) / math.sqrt(done)) if done > 1 else 0.0
             half = Z_95 * se
             criterion = half / abs(est) if est != 0.0 else half
             if relative_halfwidth is not None and criterion < relative_halfwidth:
-                results[i] = StoppingResult(est, se, scores[i].size, "halfwidth")
-            elif scores[i].size >= cap:
-                results[i] = StoppingResult(est, se, scores[i].size, "cap")
+                results[i] = StoppingResult(est, se, done, "halfwidth")
+            elif done >= cap:
+                results[i] = StoppingResult(est, se, done, "cap")
         running = [i for i in running if results[i] is None]
     return results
 

@@ -23,10 +23,14 @@ Reproducibility contract: a trajectory is fully determined by
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import numbers
+import os
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -131,6 +135,9 @@ class SimulationConfig:
 
     def __post_init__(self):
         _check_horizon(self.t_end)
+        for name in ("trajectory_count", "master_seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.trajectory_count < 1:
             raise ValueError("trajectory_count must be >= 1")
 
@@ -392,6 +399,28 @@ def _write_table(path, header: Sequence[str], chunks: Iterable[Sequence]) -> Non
         for columns in chunks:
             for lo in range(0, len(columns[0]), _PART_EVENTS):
                 w.writerows(zip(*(_cells(c[lo:lo + _PART_EVENTS]) for c in columns)))
+
+
+def _write_files(writes: Iterable[tuple[str | Path, Callable[[str | Path], object]]],
+                 directory: Path | None = None) -> None:
+    """Make `directory` if given, then call ``write(path)`` for each pair in
+    order, all or nothing: if a step fails, the files and directories this
+    call made are removed, and it raises.  A path that was there before
+    (a file, a link, a device) is left in place, as the write left it."""
+    made = [d for d in (directory, *directory.parents) if not d.exists()] if directory else []
+    new = []  # the paths that were not there before their write
+    try:
+        if directory:
+            directory.mkdir(parents=True, exist_ok=True)
+        for path, write in writes:
+            if not os.path.lexists(path):
+                new.append(path)
+            write(path)
+    except BaseException:
+        for path in [*new, *made]:  # files, then directories deepest first
+            with contextlib.suppress(OSError):
+                (os.rmdir if os.path.isdir(path) else os.remove)(path)
+        raise
 
 
 def _trajectory_rows(ensemble: Ensemble, names: Sequence[str]) -> Iterator[list]:

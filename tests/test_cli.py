@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from ctbn_sentry import experiments as experiments_module
 from ctbn_sentry import save_model
 from ctbn_sentry.cli import main
 
@@ -486,6 +487,18 @@ def test_failed_experiment_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_failed_experiment_write_removes_the_directory_it_made(tmp_path, capsys,
+                                                               monkeypatch):
+    def blocked(path, comparison):
+        raise OSError(f"cannot write {path}")
+    monkeypatch.setattr(experiments_module, "write_comparison_report", blocked)
+    out = tmp_path / "new" / "bundle"
+    assert run(["experiment", "chain3", "--trajectories", "20", "--t-end", "5",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_experiment_unknown_name(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["experiment", "nope", "--out", str(tmp_path / "x")])
@@ -504,17 +517,35 @@ def test_experiment_unknown_name(tmp_path):
     ["graph", "{model}", "moralize", "--out", "{bad}/g.dot"],
     ["graph", "{model}", "condense", "--dot", "{bad}/g.dot"],
     ["experiment", "chain3", "--trajectories", "20", "--t-end", "5", "--out", "{bad}/D"],
+    # the first output can be written, a later one cannot: the first is removed
+    ["cascades", "{log}", "--auto-threshold", "--out-cascades", "{tmp}/c.csv",
+     "--out-scores", "{bad}/s.csv"],
+    ["graph", "{model}", "condense", "--out", "{tmp}/g.json", "--dot", "{bad}/x.dot"],
+    ["experiment", "chain3", "--trajectories", "20", "--t-end", "5", "--out", "{busy}"],
+    # the first output was there before: it stays, as a file or as a link
+    ["cascades", "{log}", "--auto-threshold", "--out-cascades", "{old}",
+     "--out-scores", "{bad}/s.csv"],
+    ["graph", "{model}", "condense", "--out", "{link}", "--dot", "{bad}/x.dot"],
 ], ids=["simulate", "simulate-single-file", "sentry", "cascades", "graph-out",
-        "graph-dot", "experiment"])
+        "graph-dot", "experiment", "cascades-second", "graph-dot-second",
+        "experiment-later", "cascades-first-existing", "graph-first-link"])
 def test_failed_write_exits_2(command, chain3_path, tmp_path, capsys):
     log = tmp_path / "log.csv"
     assert run(["simulate", chain3_path, "--t-end", "5", "--trajectories", "3",
                 "--single-file", "--out", str(log)]) == 0
     blocker = tmp_path / "f.txt"  # a regular file: no path below it can be made
     blocker.write_text("")
+    busy = tmp_path / "busy"  # an earlier bundle whose sentry.csv is a directory
+    (busy / "sentry.csv").mkdir(parents=True)
+    (busy / "model.json").write_text("{}")
+    old = tmp_path / "old.csv"
+    old.write_text("")
+    link = tmp_path / "link.json"
+    link.symlink_to(old)
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
-    argv = [arg.format(model=chain3_path, log=log, bad=blocker) for arg in command]
+    argv = [arg.format(model=chain3_path, log=log, bad=blocker, tmp=tmp_path, busy=busy,
+                       old=old, link=link) for arg in command]
     assert run(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err

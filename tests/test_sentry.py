@@ -593,6 +593,9 @@ def test_three_estimators_share_one_stream(chain3):
     res = stopping_rule_ednt(chain3, (1, 0, 0), 0.3, 20.0, None, cap=300, seed=5)
     reward = discounted_reward_mc(chain3, (1, 0, 0), RewardSpec(0.3), config)
     assert (table.estimates[0], table.stderrs[0]) == (res.estimate, res.stderr) == reward
+    # a general reward that counts transitions runs the same rounds, bit for bit
+    general = RewardSpec(0.3, lump_sum=lambda x, y: 1.0, instantaneous=lambda x: 0.0)
+    assert discounted_reward_mc(chain3, (1, 0, 0), general, config) == reward
     assert reward == pytest.approx((16.72446926179005, 0.24198924306259864), rel=1e-12)
     assert table.trajectory_counts.tolist() == [300]
     assert (res.trajectories_used, res.stopped_by) == (300, "cap")
@@ -673,6 +676,15 @@ def test_engine_calls_stay_within_the_budget(chain3, monkeypatch):
     mean, stderr = discounted_reward_mc(chain3, (1, 0, 1), RewardSpec(0.5), config)
     assert calls[-3:] == [limit, limit, 300]
     assert (mean, stderr) == (table.estimates[1], table.stderrs[1])
+    # a general reward holds its states too: smaller calls, the same scores
+    general = RewardSpec(0.5, lump_sum=lambda x, y: 1.0, instantaneous=lambda x: 0.0)
+    # two state tuples and about 20 words more per trajectory (3 processes)
+    small = sentry_module.MC_CALL_BYTES // (_step_bytes(chain3.rate_table) + 8 * (2 * 3 + 20))
+    assert small < limit
+    del calls[:]
+    assert discounted_reward_mc(chain3, (1, 0, 1), general, config) == (mean, stderr)
+    count = config.trajectory_count
+    assert calls == [small] * (count // small) + [count % small]
     # the same scores as with every state's batch in one call
     monkeypatch.setattr(sentry_module, "MC_CALL_BYTES", 1 << 40)
     whole = ednt_mc(chain3, 0.5, config, states=states)

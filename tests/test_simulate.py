@@ -124,6 +124,19 @@ def test_sample_trajectory_validates_horizon(t_end, no_sampling):
         sample_trajectory(toggler_model(), None, t_end, 1)
 
 
+@pytest.mark.parametrize("count, seed, field", [
+    (2.5, 1, "trajectory_count"),
+    (3.0, 1, "trajectory_count"),
+    (3, 1.5, "master_seed"),
+    (3, "7", "master_seed"),
+])
+def test_simulation_config_requires_integers(count, seed, field):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SimulationConfig(10.0, count, seed)
+    config = SimulationConfig(10.0, np.int64(3), np.uint64(7))  # numpy integers are integers
+    assert (config.trajectory_count, config.master_seed) == (3, 7)
+
+
 def test_mean_holding_time_matches_rate():
     # symmetric toggler: inter-event gaps are exponential with rate q
     q = 2.0
