@@ -16,7 +16,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import condensation, induced_subgraph
 from .model import CtbnModel, build_state_space_graph, states_from_indices
 from .sentry import RedntRanking, ednt_exact, rank_sentry_states, rednt
 from .simulate import Ensemble, Trajectory, _parts, _write_table
@@ -223,40 +222,6 @@ def default_fast_threshold(trajectories: Ensemble | Iterable[Trajectory]) -> flo
     gaps = _gaps(Ensemble.from_trajectories(trajectories))
     gaps = gaps[~np.isnan(gaps)]
     return float(np.median(gaps)) if gaps.size else math.inf
-
-
-def suggested_min_cascade_length(graph, slow_processes: Iterable[str]) -> int:
-    """Heuristic minimum cascade length: the longest chain of fast followers.
-
-    A freshly triggered cascade is expected to ripple down the longest
-    directed path of fast (non-slow) processes, so that path length is a
-    natural lower bound on interesting cascade sizes.  Cycles among fast
-    processes count with their full size.  Never below 2.
-    """
-    slow = set(slow_processes)
-    fast_nodes = [n for n in graph.nodes if n not in slow]
-    if not fast_nodes:
-        return 2
-    cond = condensation(induced_subgraph(graph, fast_nodes))
-    bg = cond.graph
-    order: list[str] = []
-    seen: set[str] = set()
-
-    def visit(node):  # blocks form a DAG, so plain DFS post-order works
-        seen.add(node)
-        for child in sorted(bg.children_of(node)):
-            if child not in seen:
-                visit(child)
-        order.append(node)
-
-    for node in bg.nodes:
-        if node not in seen:
-            visit(node)
-    longest: dict[str, int] = {}
-    for node in order:  # children before parents
-        below = max((longest[c] for c in bg.children_of(node)), default=0)
-        longest[node] = len(cond.blocks[node]) + below
-    return max(2, max(longest.values()))
 
 
 def jaccard_at_k(ranking_a: Sequence, ranking_b: Sequence, k: int) -> float:

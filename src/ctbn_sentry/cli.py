@@ -113,13 +113,14 @@ def cmd_simulate(args) -> int:
     trajectories = _sim.sample_ensemble(model, initial, config)
     out = Path(args.out)
     if args.single_file:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        _sim.write_ensemble_csv(trajectories, out, model.names)
+        _sim._write_files(
+            [(out, lambda p: _sim.write_ensemble_csv(trajectories, p, model.names))], out.parent)
         print(f"wrote {len(trajectories)} trajectories to {out}")
     else:
-        out.mkdir(parents=True, exist_ok=True)
-        for k, traj in enumerate(trajectories):
-            _sim.write_trajectory_csv(traj, out / f"trajectory_{k:05d}.csv", model.names)
+        _sim._write_files(
+            [(out / f"trajectory_{k:05d}.csv",
+              lambda p, traj=traj: _sim.write_trajectory_csv(traj, p, model.names))
+             for k, traj in enumerate(trajectories)], out)
         print(f"wrote {len(trajectories)} trajectory files to {out}/")
     return EXIT_OK
 

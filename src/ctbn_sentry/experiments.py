@@ -36,7 +36,11 @@ _ANALYSIS_STREAM = 2
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A named network shape plus rates and analysis defaults."""
+    """A named network shape plus rates and analysis defaults.
+
+    ``max_active`` None (every built-in shape) takes the comparison's rule:
+    the size of the model's largest parent set.
+    """
 
     name: str
     nodes: tuple[str, ...]
@@ -49,7 +53,7 @@ class ExperimentSpec:
     t_end: float = 10.0 / DEFAULT_ALPHA
     trajectory_count: int = 10_000
     seed: int = DEFAULT_SEED
-    max_active: int = 1
+    max_active: int | None = None  # None: the model's largest parent set
     min_cascade_length: int = 2
     fast_threshold: float | None = None  # None selects the pooled-median default
     display_trajectories: int = 10
@@ -112,7 +116,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                    ("G", "H"), ("H", "I")),
             slow=frozenset({"A", "B", "C"}),
             slow_rate=(1.0, 1.0),
-            max_active=3,
         ),
     )
 }
@@ -138,7 +141,8 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict[str, Path]:
     naive baseline over the whole ensemble (naive_scores.csv), the
     REDNT-vs-naive comparison (comparison.csv), and a manifest of resolved
     parameters.  Both rankings in the comparison are restricted to states
-    with at most ``spec.max_active`` active alarms.  The fast threshold
+    with at most ``spec.max_active`` active alarms (None: the model's largest
+    parent set); the manifest records the value used.  The fast threshold
     follows :func:`default_fast_threshold` unless the spec fixes one; an
     infinite one is written to the manifest as null.  Everything is computed
     before ``out_dir`` is created, and a write that fails removes the files
@@ -173,7 +177,7 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict[str, Path]:
         "t_end": spec.t_end,
         "trajectory_count": spec.trajectory_count,
         "seed": spec.seed,
-        "max_active": spec.max_active,
+        "max_active": comparison.max_active,
         # strict JSON has no infinity: null when the ensemble has no gap
         "fast_threshold": (comparison.fast_threshold
                            if math.isfinite(comparison.fast_threshold) else None),

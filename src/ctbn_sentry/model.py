@@ -268,7 +268,11 @@ def states_from_indices(indices, cardinalities: Sequence[int]) -> np.ndarray:
     Each process's column is contiguous in memory (the result is a view of
     a (processes, ...) array), which is the faster layout for the callers.
     """
-    index = np.asarray(indices, dtype=np.int64)
+    try:
+        index = np.asarray(indices, dtype=np.int64)
+    except OverflowError:  # a Python int past int64 is past every state count
+        big = [i for i in np.ravel(np.array(indices, dtype=object)) if not -2**63 <= i < 2**63]
+        raise ValueError(f"state index {big[0]} out of range") from None
     out = np.empty((len(cardinalities),) + index.shape, dtype=np.int64)
     rest = index
     for j in reversed(range(len(cardinalities))):  # least significant digit first
@@ -561,8 +565,8 @@ class StateSpaceGraph:
         Neighbors are listed by process, then by target local state
         ascending (the order of :meth:`neighbors`).
         """
-        idx = np.asarray(indices, dtype=np.int64)
-        return self._neighbor_table(idx, states_from_indices(idx, self.cardinalities))
+        digits = states_from_indices(indices, self.cardinalities)  # range check
+        return self._neighbor_table(np.asarray(indices, dtype=np.int64), digits)
 
     def _neighbor_table(self, idx: np.ndarray, digits: np.ndarray) -> np.ndarray:
         """:meth:`neighbor_table` of int64 indices `idx` whose local states

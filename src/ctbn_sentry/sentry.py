@@ -28,7 +28,6 @@ from .model import (
     StateSpaceGraph,
     intensity_matrix,
     low_activity_states,
-    state_from_index,
     state_index,
     states_from_indices,
 )
@@ -361,7 +360,9 @@ def _stopping_rule(model: CtbnModel, indices: Sequence[int], alpha: float, t_end
     as a score does not depend on the call that ran it.  The scores go back to
     their states, which then apply the half-width and cap tests.  Every
     reward runs here (None, the default, counts transitions).  Arguments are
-    checked before anything is sampled, even for no state.
+    checked before anything is sampled, even for no state.  The start states
+    are one :func:`states_from_indices` call; the stream bases, and each
+    round's keys, one :func:`_member_keys` call.
     """
     _check_rate("alpha", alpha)
     _check_horizon(t_end)
@@ -371,15 +372,14 @@ def _stopping_rule(model: CtbnModel, indices: Sequence[int], alpha: float, t_end
         raise ValueError("relative_halfwidth must be positive")
     if batch < 1 or cap < 1:
         raise ValueError("batch and cap must be >= 1")
-    starts = np.array([state_from_index(i, model) for i in indices],  # range check
-                      dtype=np.int64).reshape(len(indices), model.process_count)
+    starts = states_from_indices(indices, model.cardinalities)  # range check
     table = model.rate_table
     reward = None if reward is None or reward.counts_transitions else reward  # None: counts
     # live bytes per trajectory: the engine's, and for a general reward the state
     # before and after its event (two tuples) and about 20 more words
     step = _step_bytes(table) + (0 if reward is None else 8 * (2 * model.process_count + 20))
     limit = max(1, MC_CALL_BYTES // step)  # trajectories per engine call
-    bases = np.array([derive_seed(seed, i) for i in indices], dtype=np.uint64)
+    bases = _member_keys(derive_seed(seed), indices)  # derive_seed(seed, i) per state
     scores = [np.empty(0) for _ in indices]
     results: list[StoppingResult | None] = [None] * len(indices)
     running = list(range(len(indices)))
@@ -389,10 +389,10 @@ def _stopping_rule(model: CtbnModel, indices: Sequence[int], alpha: float, t_end
         owner = np.repeat(running, sizes)
         ks = np.concatenate([np.arange(scores[i].size, scores[i].size + size)
                              for i, size in zip(running, sizes)])
-        cuts = range(limit, ks.size, limit)  # engine calls of at most `limit` trajectories
-        got = np.concatenate([
-            _scores(table, _member_keys(bases[o], k), starts[o], t_end, alpha, reward)
-            for o, k in zip(np.split(owner, cuts), np.split(ks, cuts))])
+        keys = _member_keys(bases[owner], ks)
+        got = np.concatenate([  # engine calls of at most `limit` trajectories
+            _scores(table, keys[c:c + limit], starts[owner[c:c + limit]], t_end, alpha, reward)
+            for c in range(0, ks.size, limit)])
         for i, part in zip(running, np.split(got, np.cumsum(sizes)[:-1])):
             scores[i] = np.concatenate((scores[i], part))
         for i in running:

@@ -30,7 +30,7 @@ from ctbn_sentry import (
     write_naive_scores_report,
 )
 from ctbn_sentry import simulate as simulate_module
-from ctbn_sentry.cascade import NaiveScores, suggested_min_cascade_length
+from ctbn_sentry.cascade import NaiveScores
 from ctbn_sentry.model import active_alarm_count
 from ctbn_sentry.simulate import format_float, read_ensemble_csv
 
@@ -462,13 +462,6 @@ def test_chain3_threshold_between_extreme_scales(chain3):
     ensemble = sample_ensemble(chain3, (0, 0, 0), SimulationConfig(50.0, 400, 8))
     threshold = default_fast_threshold(ensemble)
     assert 1 / 35.0 < threshold < 1 / 0.1
-
-
-def test_suggested_length_is_longest_fast_chain():
-    for name, expected in (("chain3", 2), ("chain5", 4), ("cycle-chain6", 3),
-                           ("complex9", 6)):
-        spec = experiment_spec(name)
-        assert suggested_min_cascade_length(spec.graph(), spec.slow) == expected
 
 
 # -- jaccard -----------------------------------------------------------------------------

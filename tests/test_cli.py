@@ -403,6 +403,19 @@ def test_experiment_comparison_uses_max_active(tmp_path, max_active, rows):
     assert [line.split(",")[0] for line in lines[1:]] == [str(k) for k in range(1, rows + 1)]
 
 
+def test_experiment_max_active_defaults_to_largest_parent_set(tmp_path):
+    got = {}
+    for name in sorted(experiments_module.EXPERIMENTS):
+        spec = experiments_module.experiment_spec(name, trajectory_count=5, t_end=2.0)
+        assert spec.max_active is None
+        paths = experiments_module.run_experiment(spec, tmp_path / name)
+        got[name] = json.loads(paths["manifest"].read_text())["max_active"]
+        model = spec.build_model()
+        assert got[name] == max(len(p.parents) for p in model.processes)
+    assert got == {"chain3": 1, "chain5": 1, "cycle5": 1, "fork5": 1,
+                   "cycle-chain6": 1, "complex9": 3}
+
+
 def test_experiment_golden_bundle(tmp_path):
     out = tmp_path / "bundle"
     assert run(["experiment", "chain3", "--seed", "1", "--trajectories", "40",
@@ -522,13 +535,15 @@ def test_experiment_unknown_name(tmp_path):
      "--out-scores", "{bad}/s.csv"],
     ["graph", "{model}", "condense", "--out", "{tmp}/g.json", "--dot", "{bad}/x.dot"],
     ["experiment", "chain3", "--trajectories", "20", "--t-end", "5", "--out", "{busy}"],
+    ["simulate", "{model}", "--t-end", "5", "--trajectories", "4", "--out", "{part}"],
     # the first output was there before: it stays, as a file or as a link
     ["cascades", "{log}", "--auto-threshold", "--out-cascades", "{old}",
      "--out-scores", "{bad}/s.csv"],
     ["graph", "{model}", "condense", "--out", "{link}", "--dot", "{bad}/x.dot"],
 ], ids=["simulate", "simulate-single-file", "sentry", "cascades", "graph-out",
         "graph-dot", "experiment", "cascades-second", "graph-dot-second",
-        "experiment-later", "cascades-first-existing", "graph-first-link"])
+        "experiment-later", "simulate-per-file", "cascades-first-existing",
+        "graph-first-link"])
 def test_failed_write_exits_2(command, chain3_path, tmp_path, capsys):
     log = tmp_path / "log.csv"
     assert run(["simulate", chain3_path, "--t-end", "5", "--trajectories", "3",
@@ -538,6 +553,8 @@ def test_failed_write_exits_2(command, chain3_path, tmp_path, capsys):
     busy = tmp_path / "busy"  # an earlier bundle whose sentry.csv is a directory
     (busy / "sentry.csv").mkdir(parents=True)
     (busy / "model.json").write_text("{}")
+    part = tmp_path / "part"  # an existing directory whose third trajectory file is one
+    (part / "trajectory_00002.csv").mkdir(parents=True)
     old = tmp_path / "old.csv"
     old.write_text("")
     link = tmp_path / "link.json"
@@ -545,7 +562,7 @@ def test_failed_write_exits_2(command, chain3_path, tmp_path, capsys):
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
     argv = [arg.format(model=chain3_path, log=log, bad=blocker, tmp=tmp_path, busy=busy,
-                       old=old, link=link) for arg in command]
+                       old=old, link=link, part=part) for arg in command]
     assert run(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err

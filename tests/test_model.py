@@ -226,7 +226,7 @@ def test_states_from_indices_matches_scalar_decode():
     assert threes >= 5
 
 
-@pytest.mark.parametrize("index", [-1, 8, 1 << 40])
+@pytest.mark.parametrize("index", [-1, 8, 1 << 40, 1 << 70, -(1 << 70)])
 def test_states_from_indices_out_of_range_message(index):
     m = binary3()
     with pytest.raises(ValueError) as scalar:
@@ -234,6 +234,9 @@ def test_states_from_indices_out_of_range_message(index):
     with pytest.raises(ValueError) as vector:
         states_from_indices([0, 7, index, 3], m.cardinalities)
     assert str(vector.value) == str(scalar.value)
+    with pytest.raises(ValueError) as neighbors:
+        build_state_space_graph(m).neighbors(index)
+    assert str(neighbors.value) == str(scalar.value)
 
 
 def test_state_bits_joins_multi_digit_states():

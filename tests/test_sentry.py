@@ -714,7 +714,7 @@ def test_ednt_mc_accepts_any_integer_index(chain3):
         assert table.estimates.tolist() == by_state.estimates.tolist()
 
 
-@pytest.mark.parametrize("index", [8, -1, np.int64(8)])
+@pytest.mark.parametrize("index", [8, -1, np.int64(8), 1 << 70])
 def test_ednt_mc_rejects_out_of_range_index(chain3, index, no_sampling):
     with pytest.raises(ValueError, match="out of range"):
         ednt_mc(chain3, 0.3, SimulationConfig(5.0, 10, 1), states=[index])
