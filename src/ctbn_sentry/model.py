@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -189,7 +191,8 @@ class CtbnModel:
         return int(process)
 
 
-class RateTable(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class RateTable:
     """Every CIM row's off-diagonal rates, stacked for lookup by joint state.
 
     Process j in joint state x reads row ``offsets[j] + (x @ weights)[j]`` of
@@ -202,6 +205,72 @@ class RateTable(NamedTuple):
     rates: np.ndarray  # (rows, largest cardinality)
     offsets: np.ndarray  # (n,) first row of each process
     weights: np.ndarray  # (n, n) int64
+    cardinalities: tuple[int, ...]
+
+    @property
+    def place_values(self) -> tuple[int, ...]:
+        """Mixed-radix place values of the joint index (see :func:`state_index`)."""
+        return _place_values(self.cardinalities)
+
+    @property
+    def flat_bytes(self) -> int:
+        """Bytes of :attr:`flat`, known before it is built: a float64 and an
+        int32 per (joint state, candidate transition)."""
+        return 12 * math.prod(self.cardinalities) * len(self.cardinalities) * self.rates.shape[1]
+
+    @cached_property
+    def flat(self) -> FlatTable:
+        """The joint-state tables of :class:`FlatTable`, built on first use,
+        once per table (see ``simulate.FLAT_TABLE_BYTES``)."""
+        return _flat_table(self)
+
+
+class FlatTable(NamedTuple):
+    """Every joint state's candidate transitions, one row per state.
+
+    Column ``j * width + s`` is process j moving to local state s (width the
+    largest cardinality): `cum` holds the cumulative sum of the row's rates
+    (of :class:`RateTable`, in column order) and `next` the joint index the
+    move leads to.  A column of rate 0 (the diagonal, or past the process's
+    cardinality) is never picked.
+    """
+
+    cum: np.ndarray  # (S, n * width) float64
+    next: np.ndarray  # (S, n * width) int32
+
+
+def _flat_table(table: RateTable) -> FlatTable:
+    """Build :class:`FlatTable` one process block (of width columns) at a
+    time, so the temporaries beside the tables are about one block.  The
+    cumulative sums add in the sampler's order, so they equal its per-step
+    ``cumsum`` bit for bit."""
+    cards, place = table.cardinalities, table.place_values
+    n, width = len(cards), table.rates.shape[1]
+    idx = np.arange(math.prod(cards), dtype=np.int32)  # the cap keeps S far below 2^31
+    cum = np.empty((idx.size, n * width))
+    nxt = np.empty((idx.size, n * width), dtype=np.int32)
+
+    def digit(p: int) -> np.ndarray:
+        # process p's local states, decoded one process at a time: all n
+        # columns at once (states_from_indices) would outweigh a block
+        return idx // place[p] % cards[p]
+
+    for j in range(n):
+        lo, hi = j * width, (j + 1) * width
+        parents = np.flatnonzero(table.weights[:, j])  # j itself and its parents
+        block = table.rates[sum(digit(p) * table.weights[p, j] for p in parents)
+                            + table.offsets[j]]
+        if j:
+            block[:, 0] += cum[:, lo - 1]  # carry the sum of the blocks before
+        np.cumsum(block, axis=1, out=cum[:, lo:hi])
+        # x + (s - x[j]) * place[j]; a column past the cardinality points at the
+        # last local state: a valid index, never picked
+        moves = nxt[:, lo:hi]
+        np.subtract(np.minimum(np.arange(width, dtype=np.int32), cards[j] - 1),
+                    digit(j)[:, None], out=moves)
+        moves *= place[j]
+        moves += idx[:, None]
+    return FlatTable(cum, nxt)
 
 
 def _rate_table(model: CtbnModel) -> RateTable:
@@ -220,7 +289,7 @@ def _rate_table(model: CtbnModel) -> RateTable:
         blocks.append(block.reshape(-1, width))
     offsets = np.cumsum([0, *(len(b) for b in blocks)], dtype=np.int64)[:n]
     rates = np.concatenate(blocks) if blocks else np.zeros((0, width))
-    return RateTable(rates, offsets, weights)
+    return RateTable(rates, offsets, weights, cards)
 
 
 # -- state indexing --------------------------------------------------------
@@ -262,24 +331,27 @@ def state_from_index(index: int, model: CtbnModel | StateSpaceGraph) -> tuple[in
 
 
 def states_from_indices(indices, cardinalities: Sequence[int]) -> np.ndarray:
-    """Vectorized :func:`state_from_index`: the local states of int64 joint
-    indices of any shape, one row per index; the same error out of range.
+    """Vectorized :func:`state_from_index`: the local states of joint indices
+    of any integer dtype and any shape, one row per index; the same error out
+    of range, and a ``ValueError`` for an index that is not an integer.
 
     Each process's column is contiguous in memory (the result is a view of
     a (processes, ...) array), which is the faster layout for the callers.
     """
-    try:
-        index = np.asarray(indices, dtype=np.int64)
-    except OverflowError:  # a Python int past int64 is past every state count
-        big = [i for i in np.ravel(np.array(indices, dtype=object)) if not -2**63 <= i < 2**63]
-        raise ValueError(f"state index {big[0]} out of range") from None
+    index = np.asarray(indices)
+    if index.dtype == object:  # Python ints past int64, or values of mixed types
+        wrong = [i for i in index.flat if not isinstance(i, numbers.Integral)]
+    else:
+        wrong = [] if index.dtype.kind in "biu" else index.flat[:1].tolist()
+    if wrong:
+        raise ValueError(f"state index {wrong[0]} is not an integer")
+    bad = np.flatnonzero((index < 0) | (index >= math.prod(cardinalities)))
+    if bad.size:  # checked before the cast to int64, which could wrap
+        raise ValueError(f"state index {index.flat[bad[0]]} out of range")
+    rest = index.astype(np.int64)
     out = np.empty((len(cardinalities),) + index.shape, dtype=np.int64)
-    rest = index
     for j in reversed(range(len(cardinalities))):  # least significant digit first
         rest, out[j] = np.divmod(rest, cardinalities[j])
-    bad = np.flatnonzero(rest)
-    if bad.size:
-        raise ValueError(f"state index {index.flat[bad[0]]} out of range")
     return np.moveaxis(out, 0, -1)
 
 

@@ -9,6 +9,16 @@ The first event past ``t_end`` is discarded, and a trajectory with exit rate
 0 stops.  An :class:`Ensemble` holds the result as flat arrays; a
 :class:`Trajectory` is a view of one member.
 
+When the joint space is small, a step skips the gather: the model's
+:class:`~ctbn_sentry.model.FlatTable` holds every joint state's cumulative
+rates (summed in the same order, so bit-equal) and the joint index each
+transition leads to, so a step reads one row per trajectory and advances its
+joint index by one lookup.  The tables are built once per model, on the
+first sampling step, and only when their 12 bytes per (joint state,
+candidate transition) fit ``FLAT_TABLE_BYTES``; a larger model takes the
+general path.  Both paths make the same draws and the same picks, so every
+trajectory is the same on either.
+
 Randomness comes from a counter-based stream: draw c of a trajectory with
 key s is output c of the SplitMix64 generator seeded with s, computed for
 all trajectories at once in uint64 arithmetic (Salmon et al. 2011).  Draw 0
@@ -37,6 +47,9 @@ import numpy as np
 from .model import CtbnModel, RateTable, state_bits, state_index, states_from_indices
 
 _MASK64 = (1 << 64) - 1
+# Largest FlatTable the engine builds, in bytes: 16 MiB holds a binary model
+# of up to 15 processes.  A larger model samples by the general path.
+FLAT_TABLE_BYTES = 1 << 24
 
 
 def _splitmix64(z: int) -> int:
@@ -277,7 +290,8 @@ def _step_bytes(table: RateTable) -> int:
     """Bytes :func:`_steps` holds per live trajectory at its peak, when a step
     drops finished members: two copies of the gathered cumulative rates
     (processes x CIM width), of the state and of the row indices, and about 20
-    per-trajectory vectors."""
+    per-trajectory vectors.  The flat path holds the same cumulative rates and
+    a joint index in place of the state and rows, so this bounds both paths."""
     n, width = table.weights.shape[0], table.rates.shape[1]
     return 8 * (2 * n * width + 4 * n + 20)
 
@@ -287,33 +301,49 @@ def _steps(table: RateTable, keys: np.ndarray, start: np.ndarray,
     """Advance every trajectory one event per step until all have passed ``t_end``.
 
     Yields, per step i, the members still running (ascending) and the time,
-    process and new local state of their event i.
+    process and new local state of their event i.  When the model's
+    :class:`~ctbn_sentry.model.FlatTable` fits ``FLAT_TABLE_BYTES``, a step
+    reads each member's cumulative rates as one row of it, indexed by joint
+    state, and the move's joint index from its `next`; otherwise it gathers
+    the rows from the rate table and updates the local states.  The draws and
+    the picks are the same on both paths.
     """
     n = start.shape[1]
     width = table.rates.shape[1]
+    flat = table.flat if table.flat_bytes <= FLAT_TABLE_BYTES else None
     live = np.arange(keys.size, dtype=np.int32)
-    x = start.astype(np.int64)
-    rows = x @ table.weights + table.offsets
+    if flat is None:  # local states and the CIM row of every process
+        x = start.astype(np.int64)
+        state = (x, x @ table.weights + table.offsets)
+    else:  # the joint index
+        state = (start @ np.array(table.place_values),)
     t = np.zeros(keys.size)
     draw = 1
     while live.size and n:
-        cum = table.rates.take(rows, axis=0).reshape(live.size, -1).cumsum(axis=1)
+        if flat is None:
+            cum = table.rates.take(state[1], axis=0).reshape(live.size, -1).cumsum(axis=1)
+        else:
+            cum = flat.cum.take(state[0], axis=0)
         total = cum[:, -1]
         u = _uniforms(keys, (draw, draw + 1))  # holding time, transition
         with np.errstate(divide="ignore", invalid="ignore"):
             t = t - np.log1p(-u[:, 0]) / total
         ok = t <= t_end  # false past the horizon and where no process can move
         if not ok.all():
-            live, keys, x, rows, t, cum, total, u = (
-                a[ok] for a in (live, keys, x, rows, t, cum, total, u))
+            live, keys, t, cum, total, u, *state = (
+                a[ok] for a in (live, keys, t, cum, total, u, *state))
         # the first candidate whose cumulative rate exceeds u * total; the cap
         # keeps a u * total that rounds up to total on the last positive rate
         target = np.minimum(u[:, 1] * total, np.nextafter(total, 0.0))
         pick = np.count_nonzero(cum <= target[:, None], axis=1).astype(np.int32)
         j, s = np.divmod(pick, np.int32(width))
-        at = np.arange(live.size)
-        rows += (s - x[at, j])[:, None] * table.weights[j]
-        x[at, j] = s
+        if flat is None:
+            x, rows = state
+            at = np.arange(live.size)
+            rows += (s - x[at, j])[:, None] * table.weights[j]
+            x[at, j] = s
+        else:
+            state = (flat.next[state[0], pick],)
         yield live, t, j, s
         draw += 2
 

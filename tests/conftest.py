@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 from ctbn_sentry import Cim, CtbnModel, ProcessSpec, experiment_spec
+from ctbn_sentry import model as model_module
 from ctbn_sentry import sentry as sentry_module
 from ctbn_sentry import simulate as simulate_module
 
@@ -40,6 +41,14 @@ def no_sampling(monkeypatch):
         raise AssertionError("sampled before validating")
     monkeypatch.setattr(sentry_module, "_steps", forbidden)
     monkeypatch.setattr(simulate_module, "_steps", forbidden)
+
+
+@pytest.fixture()
+def no_flat_table(monkeypatch):
+    """Make any build of a model's flat joint-state tables fail."""
+    def forbidden(table):
+        raise AssertionError("built the flat tables")
+    monkeypatch.setattr(model_module, "_flat_table", forbidden)
 
 
 @pytest.fixture(scope="session")

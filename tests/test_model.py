@@ -239,6 +239,36 @@ def test_states_from_indices_out_of_range_message(index):
     assert str(neighbors.value) == str(scalar.value)
 
 
+def test_states_from_indices_rejects_non_integers():
+    # a float index was cast to int64 and truncated: 2.7 read as state 2
+    for index in ([2.7], 2.7, [0, 1.0], np.array([[3.5]])):
+        with pytest.raises(ValueError, match="is not an integer"):
+            states_from_indices(index, (2, 2, 2))
+    with pytest.raises(ValueError, match="state index 2.7 is not an integer"):
+        StateSpaceGraph((2, 2, 2)).neighbors(2.7)
+    with pytest.raises(ValueError, match="state index x is not an integer"):
+        states_from_indices([1, "x", 1 << 70], (2, 2, 2))
+    assert states_from_indices(np.empty(0), (2, 2, 2)).shape == (0, 3)
+
+
+@pytest.mark.parametrize("index", [1 << 63, (1 << 64) - 1])
+def test_states_from_indices_reports_large_unsigned_indices(index):
+    # a uint64 index past int64 wrapped negative in the cast and was reported so
+    with pytest.raises(ValueError, match=f"^state index {index} out of range$"):
+        states_from_indices(np.array([3, index], dtype=np.uint64), (2, 2, 2))
+    with pytest.raises(ValueError, match=f"^state index {index} out of range$"):
+        StateSpaceGraph((2, 2, 2)).neighbors(np.uint64(index))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint16, np.int32,
+                                   np.uint32, np.int64, np.uint64])
+def test_states_from_indices_accepts_every_integer_dtype(dtype):
+    want = states_from_indices(np.arange(8), (2, 2, 2))
+    got = states_from_indices(np.arange(8, dtype=dtype), (2, 2, 2))
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert StateSpaceGraph((2, 2, 2)).neighbors(dtype(5)) == [1, 7, 4]
+
+
 def test_state_bits_joins_multi_digit_states():
     assert state_bits(np.array([[0, 11, 2], [10, 0, 1]])) == ["0112", "1001"]
     assert state_bits(np.zeros((0, 3), dtype=np.int64)) == []

@@ -2,30 +2,43 @@ import csv
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ctbn_sentry import (
+    Cim,
     CtbnModel,
     Ensemble,
+    ProcessSpec,
     SimulationConfig,
     Trajectory,
     amalgamate,
+    compare_rednt_vs_naive,
     derive_seed,
+    ednt_exact,
+    ednt_mc,
+    enumerate_states,
+    experiment_spec,
+    intensity_matrix,
     read_ensemble_csv,
     read_trajectory_csv,
     sample_ensemble,
     sample_trajectory,
     state_at,
     state_index,
+    stopping_rule_ednt,
     transient_distribution,
     write_ensemble_csv,
     write_trajectory_csv,
 )
+from ctbn_sentry import model as model_module
 from ctbn_sentry import simulate as simulate_module
-from ctbn_sentry.simulate import _MASK64, _member_keys, _splitmix64, _stream, format_float
-from conftest import make_random_model, random_trajectories, toggler_model, zero_rate_model
+from ctbn_sentry.simulate import (_MASK64, _member_keys, _splitmix64, _step_bytes, _stream,
+                                  format_float)
+from conftest import (independent_togglers, make_random_model, random_trajectories,
+                      toggler_model, zero_rate_model)
 
 
 def test_seed_derivation_is_pinned():
@@ -479,3 +492,158 @@ def test_engine_transient_law_with_three_state_process():
     expected = transient_distribution(amalgamate(model), p0, t)
     se = np.sqrt(np.maximum(expected * (1 - expected), 1e-12) / n)
     assert (np.abs(counts / n - expected) <= 4 * se).all()
+
+
+# -- the flat path ------------------------------------------------------------------
+
+
+def _absorbing_model() -> CtbnModel:
+    """X0 stops at 1, and X1 stops with it: the states (1, *) have exit rate 0."""
+    return CtbnModel(
+        (ProcessSpec("X0", 2), ProcessSpec("X1", 3, ("X0",))),
+        (Cim([[[-1.0, 1.0], [0.0, 0.0]]]),
+         Cim([[[-2.0, 1.5, 0.5], [3.0, -3.0, 0.0], [0.2, 0.3, -0.5]], np.zeros((3, 3))])),
+        initial_state=(0, 0))
+
+
+def _path_models() -> list[CtbnModel]:
+    randoms = [make_random_model(random.Random(seed), max_states=36) for seed in range(20)]
+    assert sum(3 in m.cardinalities for m in randoms) >= 5
+    return randoms + [zero_rate_model(2), _absorbing_model(), toggler_model(1.5, 0.4)]
+
+
+def _steps_taken(model, keys, initial, t_end) -> list[list[tuple]]:
+    """Every array `_steps` yields, as (dtype, bytes)."""
+    start = simulate_module._initial_states(model, keys, initial)
+    return [[(a.dtype.str, a.tobytes()) for a in step]
+            for step in simulate_module._steps(model.rate_table, keys, start, t_end)]
+
+
+def test_flat_and_general_paths_agree(monkeypatch):
+    # every yielded (live, t, j, s), bit for bit, from a given start state and
+    # from one drawn from the model's distribution
+    rng = np.random.default_rng(15)
+    for m, model in enumerate(_path_models()):
+        dist = rng.random(model.state_count)
+        drawn = CtbnModel(model.processes, model.cims, initial_distribution=dist / dist.sum())
+        given = tuple(int(rng.integers(c)) for c in model.cardinalities)
+        for count in (1, 10, 300):
+            keys = _member_keys(derive_seed(m), range(count))
+            for subject, initial in ((model, given), (drawn, None)):
+                assert subject.rate_table.flat_bytes <= simulate_module.FLAT_TABLE_BYTES
+                flat = _steps_taken(subject, keys, initial, 8.0)
+                assert "flat" in vars(subject.rate_table)
+                monkeypatch.setattr(simulate_module, "FLAT_TABLE_BYTES", 0)
+                assert _steps_taken(subject, keys, initial, 8.0) == flat
+                monkeypatch.undo()
+                assert len(flat) > 3 or count < 300 or not model.rate_table.rates.any()
+
+
+def test_flat_table_rows(chain3):
+    # row x: the cumulative rates the general path gathers for x, and the
+    # joint index each move leads to
+    for model in _path_models()[:6] + [chain3]:
+        table = model.rate_table
+        width = table.rates.shape[1]
+        for i, x in enumerate(enumerate_states(model)):
+            rows = np.asarray(x) @ table.weights + table.offsets
+            assert table.flat.cum[i].tobytes() == table.rates[rows].ravel().cumsum().tobytes()
+            for j, c in enumerate(model.cardinalities):
+                for s in range(c):
+                    after = x[:j] + (s,) + x[j + 1:]
+                    assert table.flat.next[i, j * width + s] == state_index(after, model)
+
+
+def test_flat_table_cap_checked_before_building(monkeypatch, no_flat_table):
+    model = make_random_model(random.Random(3), max_states=36)
+    table = model.rate_table
+    monkeypatch.setattr(simulate_module, "FLAT_TABLE_BYTES", table.flat_bytes - 1)
+    ensemble = sample_ensemble(model, None, SimulationConfig(10.0, 50, 2))
+    assert ensemble.event_count > 50
+    ednt_mc(model, 0.5, SimulationConfig(5.0, 20, 2), states=[0, 1])
+    assert "flat" not in vars(table)
+
+
+def test_flat_table_built_once_with_the_capped_bytes(monkeypatch):
+    builds = []
+    real = model_module._flat_table
+    monkeypatch.setattr(model_module, "_flat_table",
+                        lambda table: builds.append(table) or real(table))
+    model = make_random_model(random.Random(4), max_states=36)
+    table = model.rate_table
+    monkeypatch.setattr(simulate_module, "FLAT_TABLE_BYTES", table.flat_bytes)  # fits exactly
+    sample_ensemble(model, None, SimulationConfig(10.0, 50, 2))
+    sample_trajectory(model, None, 3.0, 7)
+    ednt_mc(model, 0.5, SimulationConfig(5.0, 20, 2), states=[0, 1])
+    assert builds == [table]
+    flat = table.flat
+    assert flat.cum.nbytes + flat.next.nbytes == table.flat_bytes
+    width = table.rates.shape[1]
+    assert flat.cum.shape == flat.next.shape == (model.state_count,
+                                                 model.process_count * width)
+    assert (flat.cum.dtype, flat.next.dtype) == (np.float64, np.int32)
+
+
+def test_exact_analysis_builds_no_flat_table(request):
+    spec = experiment_spec("chain5")
+    ensemble = sample_ensemble(spec.build_model(), None, SimulationConfig(30.0, 20, 1))
+    request.getfixturevalue("no_flat_table")
+    model = spec.build_model()
+    intensity_matrix(model)
+    amalgamate(model)
+    ednt_exact(model, 0.5)
+    compare_rednt_vs_naive(model, ensemble, alpha=0.5)  # the cascades pipeline
+    assert "flat" not in vars(model.rate_table)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: sample_trajectory(m, None, math.nan, 1),
+    lambda m: sample_trajectory(m, None, -1.0, 1),
+    lambda m: ednt_mc(m, -1.0, SimulationConfig(5.0, 10, 1), states=[0]),
+    lambda m: ednt_mc(m, math.inf, SimulationConfig(5.0, 10, 1), states=[0]),
+    lambda m: stopping_rule_ednt(m, m.initial_state, 0.5, math.inf, 0.1),
+    lambda m: stopping_rule_ednt(m, m.initial_state, 0.0, 5.0, 0.1),
+], ids=["nan-horizon", "negative-horizon", "negative-alpha", "infinite-alpha",
+        "infinite-horizon", "zero-alpha"])
+def test_invalid_arguments_raise_before_the_flat_table(call, no_flat_table):
+    model = make_random_model(random.Random(5), max_states=36)  # no table built yet
+    with pytest.raises(ValueError):
+        call(model)
+    assert "flat" not in vars(model.rate_table)
+
+
+@pytest.mark.parametrize("cap", [None, 0], ids=["flat", "general"])
+def test_engine_peak_within_step_bytes(cap, monkeypatch):
+    # _step_bytes, which MC_CALL_BYTES is divided by, bounds both paths
+    model = experiment_spec("complex9").build_model()
+    table = model.rate_table
+    assert table.flat is not None  # built before measuring
+    if cap is not None:
+        monkeypatch.setattr(simulate_module, "FLAT_TABLE_BYTES", cap)
+    count = 2000
+    keys = _member_keys(derive_seed(1), range(count))
+    start = simulate_module._initial_states(model, keys, None)
+    tracemalloc.start()
+    try:
+        steps = sum(1 for _ in simulate_module._steps(table, keys, start, 20.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert steps > 100
+    assert peak < count * _step_bytes(table)
+
+
+@pytest.mark.parametrize("model", [
+    independent_togglers([1.0] * 12, [2.0] * 12),  # 4 096 states, no parents
+    experiment_spec("complex9").build_model(),
+], ids=["togglers12", "complex9"])
+def test_flat_table_build_peak(model):
+    table = model.rate_table
+    tracemalloc.start()
+    try:
+        flat = table.flat
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert flat.cum.nbytes + flat.next.nbytes == table.flat_bytes <= held
+    assert peak <= 2 * table.flat_bytes
