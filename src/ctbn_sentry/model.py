@@ -199,7 +199,9 @@ class RateTable:
     ``rates``, which is ``offsets[j] + config * cardinality[j] + x[j]``: the
     mixed-radix parent configuration of :func:`intensity_matrix`.  Entry s of
     a row is the rate into local state s; the diagonal and the columns past
-    the process's cardinality are 0.
+    the process's cardinality are 0.  Both :func:`intensity_matrix` and the
+    sampler's :attr:`flat` read it through one table of every joint state's
+    real moves (:func:`_move_table`), which has neither of those columns.
     """
 
     rates: np.ndarray  # (rows, largest cardinality)
@@ -214,63 +216,73 @@ class RateTable:
 
     @property
     def flat_bytes(self) -> int:
-        """Bytes of :attr:`flat`, known before it is built: a float64 and an
-        int32 per (joint state, candidate transition)."""
-        return 12 * math.prod(self.cardinalities) * len(self.cardinalities) * self.rates.shape[1]
+        """Bytes of :attr:`flat`, known before it is built: per joint state a
+        float64, an int32 and an int16 for each of its real moves and a
+        float64 total, and an int32 for each move column."""
+        degree = sum(c - 1 for c in self.cardinalities)
+        return math.prod(self.cardinalities) * (14 * degree + 8) + 4 * degree
 
     @cached_property
     def flat(self) -> FlatTable:
-        """The joint-state tables of :class:`FlatTable`, built on first use,
-        once per table (see ``simulate.FLAT_TABLE_BYTES``)."""
-        return _flat_table(self)
+        """The sampler's :class:`FlatTable`, built on first use, once per
+        table (see ``simulate.FLAT_TABLE_BYTES``): the move table of
+        :func:`_move_table` with its rates summed along each row in place."""
+        cards = self.cardinalities
+        cum, nxt = _move_table(self)
+        np.cumsum(cum, axis=1, out=cum)
+        process = np.repeat(np.arange(len(cards), dtype=np.int32), [c - 1 for c in cards])
+        place, card = (np.array(v, dtype=np.int32)[process] for v in (self.place_values, cards))
+        local = nxt // place
+        local %= card
+        # the last column, copied; a sum of one entry is that entry, and of none 0
+        return FlatTable(cum, nxt, local.astype(np.int16), cum[:, -1:].sum(axis=1), process)
 
 
 class FlatTable(NamedTuple):
-    """Every joint state's candidate transitions, one row per state.
+    """Every joint state's real moves, one row per state, for the sampler.
 
-    Column ``j * width + s`` is process j moving to local state s (width the
-    largest cardinality): `cum` holds the cumulative sum of the row's rates
-    (of :class:`RateTable`, in column order) and `next` the joint index the
-    move leads to.  A column of rate 0 (the diagonal, or past the process's
-    cardinality) is never picked.
+    Column c of row x is x's c-th move of :func:`_move_table`: `cum` holds
+    the cumulative sum of the row's rates, `next` the joint index the move
+    leads to and `local` the moved process's new local state (its digit of
+    `next`).  There is no diagonal or padding column: a row has ``degree =
+    sum(c_j - 1)`` columns.  `total` is the last column of `cum` (the exit
+    rate) as one vector, and `process` the process each column moves.
     """
 
-    cum: np.ndarray  # (S, n * width) float64
-    next: np.ndarray  # (S, n * width) int32
+    cum: np.ndarray  # (S, degree) float64
+    next: np.ndarray  # (S, degree) int32
+    local: np.ndarray  # (S, degree) int16
+    total: np.ndarray  # (S,) float64
+    process: np.ndarray  # (degree,) int32
 
 
-def _flat_table(table: RateTable) -> FlatTable:
-    """Build :class:`FlatTable` one process block (of width columns) at a
-    time, so the temporaries beside the tables are about one block.  The
-    cumulative sums add in the sampler's order, so they equal its per-step
-    ``cumsum`` bit for bit."""
+def _move_table(table: RateTable) -> tuple[np.ndarray, np.ndarray]:
+    """Every joint state's ``degree = sum(c_j - 1)`` real moves, in the order
+    of :meth:`StateSpaceGraph.neighbor_table`: their rates, read from the CIM
+    rows in force (see :class:`RateTable`), and the int32 joint index each
+    leads to.  This is the one move table of :func:`intensity_matrix` and of
+    :attr:`RateTable.flat`.  Local states are decoded one process at a time,
+    so the temporaries beside the two tables are a few state vectors.  Both
+    users cap the state count far below 2^31."""
     cards, place = table.cardinalities, table.place_values
-    n, width = len(cards), table.rates.shape[1]
-    idx = np.arange(math.prod(cards), dtype=np.int32)  # the cap keeps S far below 2^31
-    cum = np.empty((idx.size, n * width))
-    nxt = np.empty((idx.size, n * width), dtype=np.int32)
+    idx = np.arange(math.prod(cards), dtype=np.int32)
+    degree = sum(c - 1 for c in cards)
+    rates = np.empty((idx.size, degree))
+    nxt = np.empty((idx.size, degree), dtype=np.int32)
 
     def digit(p: int) -> np.ndarray:
-        # process p's local states, decoded one process at a time: all n
-        # columns at once (states_from_indices) would outweigh a block
         return idx // place[p] % cards[p]
 
-    for j in range(n):
-        lo, hi = j * width, (j + 1) * width
+    col = 0
+    for j, c in enumerate(cards):
         parents = np.flatnonzero(table.weights[:, j])  # j itself and its parents
-        block = table.rates[sum(digit(p) * table.weights[p, j] for p in parents)
-                            + table.offsets[j]]
-        if j:
-            block[:, 0] += cum[:, lo - 1]  # carry the sum of the blocks before
-        np.cumsum(block, axis=1, out=cum[:, lo:hi])
-        # x + (s - x[j]) * place[j]; a column past the cardinality points at the
-        # last local state: a valid index, never picked
-        moves = nxt[:, lo:hi]
-        np.subtract(np.minimum(np.arange(width, dtype=np.int32), cards[j] - 1),
-                    digit(j)[:, None], out=moves)
-        moves *= place[j]
-        moves += idx[:, None]
-    return FlatTable(cum, nxt)
+        row = sum(digit(p) * table.weights[p, j] for p in parents) + table.offsets[j]
+        own = digit(j)
+        for target in _neighbor_targets(own, c):
+            rates[:, col] = table.rates[row, target]
+            nxt[:, col] = idx + (target - own) * place[j]
+            col += 1
+    return rates, nxt
 
 
 def _rate_table(model: CtbnModel) -> RateTable:
@@ -303,48 +315,64 @@ def _place_values(cardinalities: Sequence[int]) -> tuple[int, ...]:
     return tuple(mults)
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """`values` as an array of any integer dtype (or of Python ints), else a
+    ``ValueError`` naming the first value that is not an integer."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "biu":  # Python ints past int64, floats, mixed types
+        wrong = [v for v in np.asarray(values, dtype=object).flat
+                 if not isinstance(v, numbers.Integral)]
+        if wrong:
+            raise ValueError(f"{what} {wrong[0]} is not an integer")
+    return array
+
+
 def state_index(state: Sequence[int], model: CtbnModel) -> int:
-    """Mixed-radix index of a joint state (first process most significant)."""
-    cards = model.cardinalities
-    if len(state) != len(cards):
-        raise ValueError(f"state has {len(state)} entries, model has {len(cards)} processes")
-    idx = 0
-    for v, c, m in zip(state, cards, model.state_multipliers):
-        v = int(v)
-        if not 0 <= v < c:
-            raise ValueError(f"local state {v} out of range for cardinality {c}")
-        idx += v * m
-    return idx
+    """Mixed-radix index of a joint state (first process most significant):
+    :func:`state_indices` of one state, with its errors."""
+    index = state_indices(state, model.cardinalities)
+    if index.ndim:
+        raise ValueError(f"expected one state, got an array of shape {np.shape(state)}")
+    return int(index)
 
 
 def state_from_index(index: int, model: CtbnModel | StateSpaceGraph) -> tuple[int, ...]:
-    """Inverse of :func:`state_index`; only ``model.cardinalities`` is read,
-    so a :class:`StateSpaceGraph` serves as well."""
-    rest = index
-    digits = []
-    for c in reversed(model.cardinalities):  # least significant digit first
-        rest, v = divmod(rest, c)
-        digits.append(v)
-    if rest:  # index >= state count leaves a positive rest, index < 0 a negative one
-        raise ValueError(f"state index {index} out of range")
-    return tuple(reversed(digits))
+    """Inverse of :func:`state_index`: :func:`states_from_indices` of one
+    index, with its errors.  Only ``model.cardinalities`` is read, so a
+    :class:`StateSpaceGraph` serves as well."""
+    state = states_from_indices(index, model.cardinalities)
+    if state.ndim != 1:
+        raise ValueError(f"expected one state index, got an array of shape {np.shape(index)}")
+    return tuple(state.tolist())
+
+
+def state_indices(states, cardinalities: Sequence[int]) -> np.ndarray:
+    """Joint indices of states given as local states along the last axis,
+    the inverse of :func:`states_from_indices`.  Raises ``ValueError`` for
+    a state of the wrong length, a local state that is not an integer, or
+    one out of range for its process."""
+    values = _integers(states, "local state")
+    n = len(cardinalities)
+    if values.shape[-1:] != (n,):
+        got = values.shape[-1] if values.ndim else "no"
+        raise ValueError(f"state has {got} entries, model has {n} processes")
+    cards = np.array(cardinalities, dtype=np.int64)
+    bad = np.argwhere((values < 0) | (values >= cards))
+    if bad.size:
+        raise ValueError(f"local state {values[tuple(bad[0])]} out of range "
+                         f"for cardinality {cards[bad[0, -1]]}")
+    return values.astype(np.int64) @ np.array(_place_values(cardinalities), dtype=np.int64)
 
 
 def states_from_indices(indices, cardinalities: Sequence[int]) -> np.ndarray:
-    """Vectorized :func:`state_from_index`: the local states of joint indices
-    of any integer dtype and any shape, one row per index; the same error out
-    of range, and a ``ValueError`` for an index that is not an integer.
+    """The local states of joint indices of any integer dtype and any shape,
+    one row per index.  Raises ``ValueError`` for an index that is not an
+    integer or is out of range.
 
     Each process's column is contiguous in memory (the result is a view of
     a (processes, ...) array), which is the faster layout for the callers.
     """
-    index = np.asarray(indices)
-    if index.dtype == object:  # Python ints past int64, or values of mixed types
-        wrong = [i for i in index.flat if not isinstance(i, numbers.Integral)]
-    else:
-        wrong = [] if index.dtype.kind in "biu" else index.flat[:1].tolist()
-    if wrong:
-        raise ValueError(f"state index {wrong[0]} is not an integer")
+    index = _integers(indices, "state index")
     bad = np.flatnonzero((index < 0) | (index >= math.prod(cardinalities)))
     if bad.size:  # checked before the cast to int64, which could wrap
         raise ValueError(f"state index {index.flat[bad[0]]} out of range")
@@ -539,27 +567,16 @@ def intensity_matrix(model: CtbnModel) -> sp.csr_matrix:
     """Flatten the CTBN into a sparse (CSR) intensity matrix over the joint space.
 
     Entry (x, y) for states differing only in process j is j's local
-    transition rate under x's parent configuration, read from the model's
-    :class:`RateTable`; states differing in two or more components get rate
-    0, and the diagonal closes each row to 0.  Row x stores one entry per
-    state-space neighbor (zero rates included) plus the diagonal, so
-    nnz = S * (1 + sum_j (c_j - 1)).
+    transition rate under x's parent configuration; states differing in two
+    or more components get rate 0, and the diagonal closes each row to 0.
+    Row x stores x's real moves, zero rates included, from the move table of
+    :func:`_move_table` that the sampler's :class:`FlatTable` is summed from,
+    plus the diagonal, so nnz = S * (1 + sum_j (c_j - 1)).
     """
     gs = build_state_space_graph(model)
-    table = model.rate_table
+    rates, moves = _move_table(model.rate_table)
     n = gs.node_count
-    idx = np.arange(n, dtype=np.int64)
-    digits = states_from_indices(idx, gs.cardinalities)
-    rates = np.empty((n, gs.degree))  # columns follow StateSpaceGraph.neighbor_table
-    col = 0
-    for j, c in enumerate(gs.cardinalities):
-        row = digits @ table.weights[:, j] + table.offsets[j]  # CIM row in force at every state
-        for target in _neighbor_targets(digits[:, j], c):
-            rates[:, col] = table.rates[row, target]
-            col += 1
-    neighbors = gs._neighbor_table(idx, digits)
-    del digits
-    off = sp.csr_matrix((rates.ravel(), neighbors.ravel(), np.arange(n + 1) * gs.degree),
+    off = sp.csr_matrix((rates.ravel(), moves.ravel(), np.arange(n + 1) * gs.degree),
                         shape=(n, n))
     return (off - sp.diags(rates.sum(axis=1))).tocsr()
 
@@ -638,11 +655,7 @@ class StateSpaceGraph:
         ascending (the order of :meth:`neighbors`).
         """
         digits = states_from_indices(indices, self.cardinalities)  # range check
-        return self._neighbor_table(np.asarray(indices, dtype=np.int64), digits)
-
-    def _neighbor_table(self, idx: np.ndarray, digits: np.ndarray) -> np.ndarray:
-        """:meth:`neighbor_table` of int64 indices `idx` whose local states
-        `digits` are already decoded."""
+        idx = np.asarray(indices, dtype=np.int64)
         out = np.empty(idx.shape + (self.degree,), dtype=np.int64)
         col = 0
         for j, (c, m) in enumerate(zip(self.cardinalities, self.multipliers)):
@@ -767,11 +780,11 @@ def ancestral_subprocess(model: CtbnModel, keep: Iterable[str]) -> CtbnModel:
         return CtbnModel(processes, cims,
                          initial_state=tuple(model.initial_state[j] for j in kept))
     # marginalize an explicit joint distribution onto the kept coordinates
-    sub = CtbnModel(processes, cims, initial_state=(0,) * len(kept))
-    restricted = (states_from_indices(np.arange(model.state_count), model.cardinalities)[:, kept]
-                  @ np.array(sub.state_multipliers, dtype=np.int64))
+    cards = [model.cardinalities[j] for j in kept]
+    restricted = state_indices(
+        states_from_indices(np.arange(model.state_count), model.cardinalities)[:, kept], cards)
     dist = np.bincount(restricted, weights=model.initial_distribution,
-                       minlength=sub.state_count)
+                       minlength=math.prod(cards))
     return CtbnModel(processes, cims, initial_distribution=dist)
 
 

@@ -9,15 +9,18 @@ The first event past ``t_end`` is discarded, and a trajectory with exit rate
 0 stops.  An :class:`Ensemble` holds the result as flat arrays; a
 :class:`Trajectory` is a view of one member.
 
-When the joint space is small, a step skips the gather: the model's
-:class:`~ctbn_sentry.model.FlatTable` holds every joint state's cumulative
-rates (summed in the same order, so bit-equal) and the joint index each
-transition leads to, so a step reads one row per trajectory and advances its
-joint index by one lookup.  The tables are built once per model, on the
-first sampling step, and only when their 12 bytes per (joint state,
-candidate transition) fit ``FLAT_TABLE_BYTES``; a larger model takes the
-general path.  Both paths make the same draws and the same picks, so every
-trajectory is the same on either.
+When the joint space is small, a step skips the gather: it reads the
+model's :class:`~ctbn_sentry.model.FlatTable`, the one move table that
+:func:`~ctbn_sentry.model.intensity_matrix` also reads, summed along each
+row (in a step's order, so bit-equal).  It holds real moves only, no
+diagonal or padding.  It is built once per model, on the first sampling
+step, and only when it fits ``FLAT_TABLE_BYTES``; a larger model takes the
+general path.  Both paths make the same draws and picks, so every
+trajectory is the same on either.  A Monte Carlo engine call holds
+``MC_CALL_BYTES``, counted per trajectory on the path taken
+(:func:`_step_bytes`): flat rows are as wide as the real moves and read for
+survivors only, so a flat call holds 2 to 2.5 times as many trajectories
+of a binary model.
 
 Randomness comes from a counter-based stream: draw c of a trajectory with
 key s is output c of the SplitMix64 generator seeded with s, computed for
@@ -48,7 +51,7 @@ from .model import CtbnModel, RateTable, state_bits, state_index, states_from_in
 
 _MASK64 = (1 << 64) - 1
 # Largest FlatTable the engine builds, in bytes: 16 MiB holds a binary model
-# of up to 15 processes.  A larger model samples by the general path.
+# of up to 16 processes.  A larger model samples by the general path.
 FLAT_TABLE_BYTES = 1 << 24
 
 
@@ -282,16 +285,26 @@ def _initial_states(model: CtbnModel, keys: np.ndarray,
                            model.state_count - 1)
         return states_from_indices(index, model.cardinalities)
     state = model.initial_state if initial is None else initial
-    state_index(state, model)  # range check
+    state_index(state, model)  # the encoder's length, integer and range checks
     return np.tile(np.asarray(state, dtype=np.int64), (keys.size, 1))
 
 
+def _flat(table: RateTable) -> bool:
+    """Whether :func:`_steps` takes the flat path: the model's
+    :class:`~ctbn_sentry.model.FlatTable` fits ``FLAT_TABLE_BYTES``."""
+    return table.flat_bytes <= FLAT_TABLE_BYTES
+
+
 def _step_bytes(table: RateTable) -> int:
-    """Bytes :func:`_steps` holds per live trajectory at its peak, when a step
-    drops finished members: two copies of the gathered cumulative rates
-    (processes x CIM width), of the state and of the row indices, and about 20
-    per-trajectory vectors.  The flat path holds the same cumulative rates and
-    a joint index in place of the state and rows, so this bounds both paths."""
+    """Bytes :func:`_steps` holds per live trajectory at its peak on the path
+    it takes, measured in the tests; a Monte Carlo engine call runs
+    ``MC_CALL_BYTES`` over this many trajectories.  A flat step holds the
+    survivors' rows of `cum` (a float64 per real move, ``degree = sum(c_j -
+    1)`` of them), their comparison with the target and about 24 vectors.  A
+    general step holds two copies of the gathered rates (processes x CIM
+    width), of the state and of the row indices, and about 20 vectors."""
+    if _flat(table):
+        return 8 * (2 * sum(c - 1 for c in table.cardinalities) + 24)
     n, width = table.weights.shape[0], table.rates.shape[1]
     return 8 * (2 * n * width + 4 * n + 20)
 
@@ -301,49 +314,53 @@ def _steps(table: RateTable, keys: np.ndarray, start: np.ndarray,
     """Advance every trajectory one event per step until all have passed ``t_end``.
 
     Yields, per step i, the members still running (ascending) and the time,
-    process and new local state of their event i.  When the model's
-    :class:`~ctbn_sentry.model.FlatTable` fits ``FLAT_TABLE_BYTES``, a step
-    reads each member's cumulative rates as one row of it, indexed by joint
-    state, and the move's joint index from its `next`; otherwise it gathers
-    the rows from the rate table and updates the local states.  The draws and
-    the picks are the same on both paths.
+    process and new local state of their event i.  The two paths differ only
+    in the row read and the state advance.  On the flat path the state is
+    the joint index x: a step reads x's `total`, draws, drops the finished
+    members, then reads the survivors' `cum` rows; pick c moves process
+    ``process[c]`` to ``local[x, c]``, and x becomes ``next[x, c]``.  On the
+    general path the state is the local states and CIM rows, and a step
+    first gathers every member's rates, as the total needs them.
     """
     n = start.shape[1]
     width = table.rates.shape[1]
-    flat = table.flat if table.flat_bytes <= FLAT_TABLE_BYTES else None
+    flat = table.flat if _flat(table) else None
     live = np.arange(keys.size, dtype=np.int32)
-    if flat is None:  # local states and the CIM row of every process
+    if flat is None:  # local states, the CIM row of every process, their rates
         x = start.astype(np.int64)
-        state = (x, x @ table.weights + table.offsets)
+        state = (x, x @ table.weights + table.offsets, None)
     else:  # the joint index
         state = (start @ np.array(table.place_values),)
     t = np.zeros(keys.size)
     draw = 1
     while live.size and n:
-        if flat is None:
+        if flat is None:  # every member's rates: the total needs them
             cum = table.rates.take(state[1], axis=0).reshape(live.size, -1).cumsum(axis=1)
+            state, total = (*state[:2], cum), cum[:, -1]
         else:
-            cum = flat.cum.take(state[0], axis=0)
-        total = cum[:, -1]
+            total = flat.total.take(state[0])
         u = _uniforms(keys, (draw, draw + 1))  # holding time, transition
         with np.errstate(divide="ignore", invalid="ignore"):
             t = t - np.log1p(-u[:, 0]) / total
-        ok = t <= t_end  # false past the horizon and where no process can move
-        if not ok.all():
-            live, keys, t, cum, total, u, *state = (
-                a[ok] for a in (live, keys, t, cum, total, u, *state))
         # the first candidate whose cumulative rate exceeds u * total; the cap
         # keeps a u * total that rounds up to total on the last positive rate
         target = np.minimum(u[:, 1] * total, np.nextafter(total, 0.0))
+        del u, total  # a general total is a view that holds every member's rates
+        ok = t <= t_end  # false past the horizon and where no process can move
+        if not ok.all():
+            live, keys, t, target, *state = (a[ok] for a in (live, keys, t, target, *state))
+        cum = state[2] if flat is None else flat.cum.take(state[0], axis=0)  # survivors' rows
         pick = np.count_nonzero(cum <= target[:, None], axis=1).astype(np.int32)
-        j, s = np.divmod(pick, np.int32(width))
         if flat is None:
-            x, rows = state
+            j, s = np.divmod(pick, np.int32(width))
+            x, rows = state[:2]  # a name for the rates would hold them into the next gather
             at = np.arange(live.size)
             rows += (s - x[at, j])[:, None] * table.weights[j]
             x[at, j] = s
         else:
-            state = (flat.next[state[0], pick],)
+            at = state[0] * flat.process.size + pick  # (x, pick) in the flattened tables
+            state = (flat.next.take(at),)
+            j, s = flat.process.take(pick), flat.local.take(at).astype(np.int32)
         yield live, t, j, s
         draw += 2
 

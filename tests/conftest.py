@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ctbn_sentry import Cim, CtbnModel, ProcessSpec, experiment_spec
+from ctbn_sentry import (Cim, CtbnModel, DiGraph, ProcessSpec, build_replicator_ctbn,
+                         experiment_spec)
 from ctbn_sentry import model as model_module
 from ctbn_sentry import sentry as sentry_module
 from ctbn_sentry import simulate as simulate_module
@@ -45,10 +46,11 @@ def no_sampling(monkeypatch):
 
 @pytest.fixture()
 def no_flat_table(monkeypatch):
-    """Make any build of a model's flat joint-state tables fail."""
+    """Make any build of a model's flat joint-state tables fail; the move
+    table that intensity_matrix reads is still built."""
     def forbidden(table):
         raise AssertionError("built the flat tables")
-    monkeypatch.setattr(model_module, "_flat_table", forbidden)
+    monkeypatch.setattr(model_module.RateTable, "flat", property(forbidden))
 
 
 @pytest.fixture(scope="session")
@@ -63,6 +65,13 @@ def toggler_model(rate_up=2.0, rate_down=None):
         (Cim([[[-rate_up, rate_up], [down, -down]]]),),
         initial_state=(0,),
     )
+
+
+def chain13_model() -> CtbnModel:
+    """A 13-process replicator chain, 8 192 states: the benchmark's Monte Carlo model."""
+    names = tuple(f"P{j:02d}" for j in range(13))
+    return build_replicator_ctbn(DiGraph(names, tuple(zip(names[:-1], names[1:]))),
+                                 {names[0]}, (1.0, 5.0), 15.0, 0.1)
 
 
 def zero_rate_model(n=1):

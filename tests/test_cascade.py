@@ -9,11 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctbn_sentry import (
-    DiGraph,
     NaiveParams,
     SimulationConfig,
     Trajectory,
-    build_replicator_ctbn,
     build_state_space_graph,
     compare_rednt_vs_naive,
     default_fast_threshold,
@@ -34,7 +32,7 @@ from ctbn_sentry.cascade import NaiveScores
 from ctbn_sentry.model import active_alarm_count
 from ctbn_sentry.simulate import format_float, read_ensemble_csv
 
-from conftest import make_random_model, random_trajectories
+from conftest import chain13_model, make_random_model, random_trajectories
 
 
 def traj_from_times(times, n_processes=1, t_end=None, initial=None):
@@ -533,9 +531,7 @@ def test_six_process_top_state_agreement():
 def test_pipeline_solves_exactly_past_old_cap():
     # 8 192 states, above any dense-size limit: the pipeline's EDNT is the
     # exact solve at every size up to the state cap
-    names = tuple(f"P{j:02d}" for j in range(13))
-    model = build_replicator_ctbn(DiGraph(names, tuple(zip(names[:-1], names[1:]))),
-                                  {names[0]}, (1.0, 5.0), 15.0, 0.1)
+    model = chain13_model()
     assert model.state_count == 8192
     ensemble = sample_ensemble(model, None, SimulationConfig(2.0, 3, 1))
     result = compare_rednt_vs_naive(model, ensemble, k_range=[1], alpha=2.0)

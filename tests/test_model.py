@@ -48,7 +48,7 @@ from conftest import (
     toggler_model,
     zero_rate_model,
 )
-from ctbn_sentry.model import state_bits, states_from_indices
+from ctbn_sentry.model import state_bits, state_indices, states_from_indices
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -219,6 +219,9 @@ def test_states_from_indices_matches_scalar_decode():
         assert got.dtype == np.int64 and got.shape == (40, len(cards))
         want = [state_from_index(int(i), gs) for i in indices]
         assert list(map(tuple, got.tolist())) == want
+        # the scalar decode wraps the vector one: both against digit arithmetic
+        assert want == [tuple(int(i) // m % c for m, c in zip(gs.multipliers, cards))
+                        for i in indices]
         # any index shape: one row of digits per index
         assert np.array_equal(states_from_indices(indices.reshape(5, 8), cards),
                               got.reshape(5, 8, len(cards)))
@@ -249,6 +252,53 @@ def test_states_from_indices_rejects_non_integers():
     with pytest.raises(ValueError, match="state index x is not an integer"):
         states_from_indices([1, "x", 1 << 70], (2, 2, 2))
     assert states_from_indices(np.empty(0), (2, 2, 2)).shape == (0, 3)
+
+
+def test_scalar_codec_rejects_non_integers(chain3):
+    # the scalar pair had its own loops: 2.7 decoded to (0.0, 1.0, 0.7...) and
+    # a local state of 1.5 was truncated to index 2
+    with pytest.raises(ValueError, match="^state index 2.7 is not an integer$"):
+        state_from_index(2.7, chain3)
+    with pytest.raises(ValueError, match="^state index 2.7 is not an integer$"):
+        StateSpaceGraph((2, 2, 2)).state_of(2.7)
+    with pytest.raises(ValueError, match="^local state 1.5 is not an integer$"):
+        state_index((0, 1.5, 0), chain3)
+    with pytest.raises(ValueError, match="^local state 2.0 is not an integer$"):
+        state_index((0, 0, 2.0), chain3)
+
+
+def test_scalar_codec_takes_one_state(chain3):
+    with pytest.raises(ValueError, match="expected one state index"):
+        state_from_index([1, 2], chain3)
+    with pytest.raises(ValueError, match="expected one state,"):
+        state_index([(0, 1, 0), (1, 1, 0)], chain3)
+    assert state_from_index(np.uint8(5), chain3) == (1, 0, 1) == state_from_index(5, chain3)
+
+
+@pytest.mark.parametrize("state", [(0, 2, 0), (0, 0), (0, 1, 0, 1), (0, -1, 0),
+                                   (0, 1 << 70, 0), (0, 1.5, 0), (1, "x", 0)])
+def test_scalar_encoder_raises_the_vector_encoders_errors(state):
+    m = binary3()
+    with pytest.raises(ValueError) as scalar:
+        state_index(state, m)
+    with pytest.raises(ValueError) as vector:
+        state_indices([state, state], m.cardinalities)
+    assert str(scalar.value) == str(vector.value)
+
+
+def test_state_indices_inverts_states_from_indices():
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        cards = rng.integers(2, 5, rng.integers(1, 7)).tolist()
+        indices = rng.integers(0, int(np.prod(cards)), (4, 10))
+        states = states_from_indices(indices, cards)
+        got = state_indices(states, cards)
+        assert got.dtype == np.int64 and np.array_equal(got, indices)
+        model = CtbnModel(tuple(ProcessSpec(f"P{j}", c) for j, c in enumerate(cards)),
+                          tuple(Cim(np.zeros((1, c, c))) for c in cards),
+                          initial_state=(0,) * len(cards))
+        assert [state_index(x, model) for x in states[0].tolist()] == indices[0].tolist()
+        assert state_indices(states.astype(np.uint8), cards).tolist() == indices.tolist()
 
 
 @pytest.mark.parametrize("index", [1 << 63, (1 << 64) - 1])

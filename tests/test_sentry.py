@@ -32,9 +32,11 @@ from ctbn_sentry import (
 )
 from ctbn_sentry import model as model_module
 from ctbn_sentry import sentry as sentry_module
+from ctbn_sentry import simulate as simulate_module
 from ctbn_sentry.model import active_alarm_count, low_activity_states
 from ctbn_sentry.simulate import _step_bytes, format_float
-from conftest import independent_togglers, make_random_model, toggler_model, zero_rate_model
+from conftest import (chain13_model, independent_togglers, make_random_model, toggler_model,
+                      zero_rate_model)
 
 # Reference table for the chain3 rates: per-state discounted transition
 # counts and the relative values they must induce, frozen as a regression
@@ -718,6 +720,29 @@ def test_ednt_mc_accepts_any_integer_index(chain3):
 def test_ednt_mc_rejects_out_of_range_index(chain3, index, no_sampling):
     with pytest.raises(ValueError, match="out of range"):
         ednt_mc(chain3, 0.3, SimulationConfig(5.0, 10, 1), states=[index])
+
+
+@pytest.mark.parametrize("states, message", [
+    ([(0, 1.5, 0)], "local state 1.5 is not an integer"),  # estimated state 2
+    ([2.0], "state index 2.0 is not an integer"),  # a TypeError from len()
+    ([3, 2.0], "state index 2.0 is not an integer"),
+    ([(0, 1, 0), 2.7], "state index 2.7 is not an integer"),
+], ids=["local-float", "index-float", "mixed-indices", "mixed-kinds"])
+def test_ednt_mc_rejects_non_integer_states(chain3, states, message, no_sampling):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ednt_mc(chain3, 0.3, SimulationConfig(5.0, 10, 1), states=states)
+
+
+def test_flat_calls_hold_more_trajectories(monkeypatch, no_flat_table):
+    # on chain13 (the benchmark's Monte Carlo model) a flat step holds the
+    # survivors' rows of 13 real moves, not 13 x 2 candidate columns: an
+    # engine call runs at least twice the 1 057 trajectories it ran when
+    # both paths were counted by the general path's bytes
+    table = chain13_model().rate_table
+    flat = sentry_module.MC_CALL_BYTES // _step_bytes(table)
+    assert flat >= 2 * 1057
+    monkeypatch.setattr(simulate_module, "FLAT_TABLE_BYTES", 0)
+    assert sentry_module.MC_CALL_BYTES // _step_bytes(table) == 1057
 
 
 def test_ednt_table_stop_reasons_default_to_empty():

@@ -13,6 +13,7 @@ from ctbn_sentry import (
     Ensemble,
     ProcessSpec,
     SimulationConfig,
+    StateSpaceGraph,
     Trajectory,
     amalgamate,
     compare_rednt_vs_naive,
@@ -27,6 +28,7 @@ from ctbn_sentry import (
     sample_ensemble,
     sample_trajectory,
     state_at,
+    state_from_index,
     state_index,
     stopping_rule_ednt,
     transient_distribution,
@@ -37,8 +39,8 @@ from ctbn_sentry import model as model_module
 from ctbn_sentry import simulate as simulate_module
 from ctbn_sentry.simulate import (_MASK64, _member_keys, _splitmix64, _step_bytes, _stream,
                                   format_float)
-from conftest import (independent_togglers, make_random_model, random_trajectories,
-                      toggler_model, zero_rate_model)
+from conftest import (chain13_model, independent_togglers, make_random_model,
+                      random_trajectories, toggler_model, zero_rate_model)
 
 
 def test_seed_derivation_is_pinned():
@@ -539,19 +541,45 @@ def test_flat_and_general_paths_agree(monkeypatch):
                 assert len(flat) > 3 or count < 300 or not model.rate_table.rates.any()
 
 
+def _table_models(chain3) -> list[CtbnModel]:
+    """The shapes and the seeded random models (3-state processes among them)
+    the flat table is checked on."""
+    shapes = [experiment_spec(name).build_model() for name in ("fork5", "cycle-chain6",
+                                                                "complex9")]
+    return [chain3, *shapes, *_path_models()[:8], _absorbing_model()]
+
+
 def test_flat_table_rows(chain3):
-    # row x: the cumulative rates the general path gathers for x, and the
-    # joint index each move leads to
-    for model in _path_models()[:6] + [chain3]:
-        table = model.rate_table
+    # oracle: row x is the general path's full-width cumulative row with its
+    # zero-rate diagonal and padding columns dropped, bit for bit; `next` is
+    # the state-space neighbor table; intensity_matrix's off-diagonal row is
+    # the move table's rates, whose row-wise cumsum the flat table is
+    models = _table_models(chain3)
+    assert sum(3 in m.cardinalities for m in models) >= 3
+    for model in models:
+        table, flat = model.rate_table, model.rate_table.flat
         width = table.rates.shape[1]
+        graph = StateSpaceGraph(model.cardinalities)
+        rates, moves = model_module._move_table(table)
+        assert flat.cum.shape == flat.next.shape == rates.shape == (model.state_count,
+                                                                    graph.degree)
+        assert flat.next.tobytes() == moves.tobytes()
+        assert flat.cum.tobytes() == np.cumsum(rates, axis=1).tobytes()
+        assert flat.total.tobytes() == flat.cum[:, -1].copy().tobytes()
+        Q = intensity_matrix(model).toarray()
         for i, x in enumerate(enumerate_states(model)):
             rows = np.asarray(x) @ table.weights + table.offsets
-            assert table.flat.cum[i].tobytes() == table.rates[rows].ravel().cumsum().tobytes()
-            for j, c in enumerate(model.cardinalities):
-                for s in range(c):
-                    after = x[:j] + (s,) + x[j + 1:]
-                    assert table.flat.next[i, j * width + s] == state_index(after, model)
+            real = [j * width + s for j, c in enumerate(model.cardinalities)
+                    for s in range(c) if s != x[j]]
+            full = table.rates[rows].ravel().cumsum()
+            assert flat.cum[i].tobytes() == full[real].tobytes()
+            assert flat.next[i].tolist() == graph.neighbor_table(i).tolist()
+            assert Q[i, flat.next[i]].tobytes() == rates[i].tobytes()
+            # column c moves process[c] to local[x, c], its digit of next[x, c]
+            moved = [j * width + s for j, s in zip(flat.process.tolist(), flat.local[i].tolist())]
+            assert moved == real
+            assert [state_from_index(y, model)[j] for y, j in zip(
+                flat.next[i].tolist(), flat.process.tolist())] == flat.local[i].tolist()
 
 
 def test_flat_table_cap_checked_before_building(monkeypatch, no_flat_table):
@@ -566,8 +594,8 @@ def test_flat_table_cap_checked_before_building(monkeypatch, no_flat_table):
 
 def test_flat_table_built_once_with_the_capped_bytes(monkeypatch):
     builds = []
-    real = model_module._flat_table
-    monkeypatch.setattr(model_module, "_flat_table",
+    real = model_module._move_table
+    monkeypatch.setattr(model_module, "_move_table",
                         lambda table: builds.append(table) or real(table))
     model = make_random_model(random.Random(4), max_states=36)
     table = model.rate_table
@@ -577,11 +605,11 @@ def test_flat_table_built_once_with_the_capped_bytes(monkeypatch):
     ednt_mc(model, 0.5, SimulationConfig(5.0, 20, 2), states=[0, 1])
     assert builds == [table]
     flat = table.flat
-    assert flat.cum.nbytes + flat.next.nbytes == table.flat_bytes
-    width = table.rates.shape[1]
-    assert flat.cum.shape == flat.next.shape == (model.state_count,
-                                                 model.process_count * width)
-    assert (flat.cum.dtype, flat.next.dtype) == (np.float64, np.int32)
+    assert sum(a.nbytes for a in flat) == table.flat_bytes
+    degree = sum(c - 1 for c in model.cardinalities)
+    assert flat.cum.shape == flat.next.shape == flat.local.shape == (model.state_count, degree)
+    assert (flat.total.shape, flat.process.shape) == ((model.state_count,), (degree,))
+    assert [a.dtype for a in flat] == [np.float64, np.int32, np.int16, np.float64, np.int32]
 
 
 def test_exact_analysis_builds_no_flat_table(request):
@@ -612,25 +640,46 @@ def test_invalid_arguments_raise_before_the_flat_table(call, no_flat_table):
     assert "flat" not in vars(model.rate_table)
 
 
+def _three_state_model() -> CtbnModel:
+    """A seeded random model with two 3-state processes and parents."""
+    return next(m for m in (make_random_model(random.Random(seed), max_states=200)
+                            for seed in range(100))
+                if m.cardinalities.count(3) >= 2 and any(m.parent_indices))
+
+
 @pytest.mark.parametrize("cap", [None, 0], ids=["flat", "general"])
 def test_engine_peak_within_step_bytes(cap, monkeypatch):
-    # _step_bytes, which MC_CALL_BYTES is divided by, bounds both paths
-    model = experiment_spec("complex9").build_model()
-    table = model.rate_table
-    assert table.flat is not None  # built before measuring
-    if cap is not None:
-        monkeypatch.setattr(simulate_module, "FLAT_TABLE_BYTES", cap)
-    count = 2000
-    keys = _member_keys(derive_seed(1), range(count))
-    start = simulate_module._initial_states(model, keys, None)
-    tracemalloc.start()
-    try:
-        steps = sum(1 for _ in simulate_module._steps(table, keys, start, 20.0))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert steps > 100
-    assert peak < count * _step_bytes(table)
+    # _step_bytes, which MC_CALL_BYTES is divided by, bounds the path taken:
+    # on complex9, on chain13 (the benchmark's Monte Carlo model) and on a
+    # model with 3-state processes
+    for model in (experiment_spec("complex9").build_model(), chain13_model(),
+                  _three_state_model()):
+        table = model.rate_table
+        assert table.flat is not None  # built before measuring
+        if cap is not None:
+            monkeypatch.setattr(simulate_module, "FLAT_TABLE_BYTES", cap)
+        count = 2000
+        keys = _member_keys(derive_seed(1), range(count))
+        start = simulate_module._initial_states(model, keys, None)
+        tracemalloc.start()
+        try:
+            steps = sum(1 for _ in simulate_module._steps(table, keys, start, 20.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert steps > 100
+        assert peak < count * _step_bytes(table)
+        monkeypatch.undo()
+
+
+def test_flat_cap_reaches_16_binary_processes(no_flat_table):
+    # checked by flat_bytes alone: 16 binary togglers fit the 16 MiB cap, 17 do not
+    fits, too_big = (independent_togglers([1.0] * n, [2.0] * n).rate_table for n in (16, 17))
+    assert simulate_module.FLAT_TABLE_BYTES == 1 << 24
+    assert fits.flat_bytes <= simulate_module.FLAT_TABLE_BYTES < too_big.flat_bytes
+    assert fits.flat_bytes == (1 << 16) * (14 * 16 + 8) + 4 * 16
+    assert simulate_module._flat(fits) and not simulate_module._flat(too_big)
+    assert "flat" not in vars(fits) and "flat" not in vars(too_big)
 
 
 @pytest.mark.parametrize("model", [
@@ -645,5 +694,5 @@ def test_flat_table_build_peak(model):
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert flat.cum.nbytes + flat.next.nbytes == table.flat_bytes <= held
+    assert sum(a.nbytes for a in flat) == table.flat_bytes <= held
     assert peak <= 2 * table.flat_bytes
