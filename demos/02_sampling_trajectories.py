@@ -20,8 +20,8 @@ model = experiment_spec("chain3").build_model()
 traj = sample_trajectory(model, initial=(0, 0, 0), t_end=12.0, seed=7)
 print(f"{traj.event_count} events on [0, {traj.t_end}]\n")
 print("  time      process  ->state")
-for ev in traj.iter_events():
-    print(f"  {ev.time:8.4f}  {model.names[ev.process]:7s}  {ev.new_local_state}")
+for t, j, s in zip(traj.times.tolist(), traj.processes.tolist(), traj.new_states.tolist()):
+    print(f"  {t:8.4f}  {model.names[j]:7s}  {s}")
 
 # A crude timeline: one row per alarm, '#' while the alarm is on.  The fast
 # followers B and C shadow the slow root A almost immediately.

@@ -31,7 +31,6 @@ from .model import (
     model_from_json_dict,
     model_to_dot,
     model_to_json_dict,
-    parent_config_index,
     require_valid,
     save_model,
     state_from_index,
@@ -67,7 +66,6 @@ from .graphs import (
 )
 from .simulate import (
     Ensemble,
-    Event,
     SimulationConfig,
     Trajectory,
     derive_seed,

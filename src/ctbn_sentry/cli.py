@@ -27,40 +27,25 @@ EXIT_DOMAIN = 1
 EXIT_IO = 2
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
-    return value
+def _number(name: str, cast, low, strict: bool, expected: str):
+    """An argparse type: the text cast, and at or above `low` (above, if
+    `strict`), else a usage error "`expected`, got <text>".  NaN and inf
+    pass; the library rejects them, with exit 1."""
+    def parse(text: str):
+        value = cast(text)
+        if value <= low if strict else value < low:
+            raise argparse.ArgumentTypeError(f"{expected}, got {text}")
+        return value
+    parse.__name__ = name  # argparse names it in "invalid <name> value: ..."
+    return parse
 
 
-def _nonneg_float(text: str) -> float:
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
-    return value
-
-
-def _cascade_length(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(
-            f"minimum cascade length must be >= 2, got {text}")
-    return value
+_positive_float = _number("_positive_float", float, 0, True, "expected a positive number")
+_nonneg_float = _number("_nonneg_float", float, 0, False, "expected a non-negative number")
+_positive_int = _number("_positive_int", int, 0, True, "expected a positive integer")
+_nonneg_int = _number("_nonneg_int", int, 0, False, "expected a non-negative integer")
+_cascade_length = _number("_cascade_length", int, 2, False,
+                          "minimum cascade length must be >= 2")
 
 
 def _parse_initial(text: str, model: _model.CtbnModel) -> tuple[int, ...]:
@@ -70,16 +55,18 @@ def _parse_initial(text: str, model: _model.CtbnModel) -> tuple[int, ...]:
             values = tuple(int(v) for v in text.split(","))
         else:
             values = tuple(int(ch) for ch in text.strip())
-        _model.state_index(values, model)  # validates length and ranges
+        _model._check_states(values, model.cardinalities)
         return values
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ValueError(f"invalid initial state {text!r}: {exc}") from exc
 
 
 def _load_model(path: str) -> _model.CtbnModel:
+    """The model file, else exit 2: it cannot be opened, is not JSON, has an
+    unknown field or a value that does not parse (loading validates nothing)."""
     try:
         return _model.load_model(path)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise _InputError(f"cannot read model {path!r}: {exc}") from exc
 
 
@@ -322,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     """Fold the values of a --config file in as the command's flag defaults: as
-    text, which the flag's type checks; an on/off flag takes only a boolean."""
+    text, which the flag's type checks; an on/off flag takes only a boolean.
+    A key that no flag of the command takes is a usage error."""
     probe = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     probe.add_argument("--config")
     probe.add_argument("command", nargs="?")
@@ -339,11 +327,12 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     command = parser._subparsers._group_actions[0].choices.get(known.command)
     if command is None:  # the parser reports the missing or unknown command
         return
-    cleaned = {key.replace("-", "_"): val for key, val in values.items()}
-    for flag in command._actions:
-        if flag.dest not in cleaned:
-            continue
-        value = cleaned[flag.dest]
+    flags = {flag.dest: flag for flag in command._actions
+             if flag.option_strings and not isinstance(flag, argparse._HelpAction)}
+    for key, value in values.items():
+        flag = flags.get(key.replace("-", "_"))
+        if flag is None:
+            command.error(f"config key {key!r} is not a flag of {known.command}")
         if not isinstance(flag, argparse._StoreTrueAction):
             value = str(value)
         elif not isinstance(value, bool):

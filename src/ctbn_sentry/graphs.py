@@ -18,30 +18,38 @@ import scipy.sparse as sp
 NodeSet = frozenset
 
 
+def _checked_edges(nodes: tuple[str, ...], edges: Iterable[tuple[str, str]],
+                   directed: bool) -> list[tuple[str, str]]:
+    """The edges of a graph on `nodes`, in order, each once: raises
+    ``ValueError`` for a repeated node name, an edge to an unknown node, a
+    self-loop, or, when `directed`, a repeated edge (an undirected graph
+    merges repeats)."""
+    node_set = set(nodes)
+    if len(node_set) != len(nodes):
+        raise ValueError("duplicate node names")
+    kept: dict[tuple[str, str], None] = {}
+    for u, v in edges:
+        if u not in node_set or v not in node_set:
+            raise ValueError(f"edge ({u!r}, {v!r}) references unknown node")
+        if u == v:
+            raise ValueError(f"self-loop at {u!r}")
+        if directed and (u, v) in kept:
+            raise ValueError(f"duplicate edge ({u!r}, {v!r})")
+        kept[u, v] = None
+    return list(kept)
+
+
 class DiGraph:
     """Immutable directed graph; cycles allowed, self-loops and duplicates not."""
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         self.nodes: tuple[str, ...] = tuple(nodes)
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ValueError("duplicate node names")
-        node_set = set(self.nodes)
-        seen: set[tuple[str, str]] = set()
-        ordered: list[tuple[str, str]] = []
+        self.edges: tuple[tuple[str, str], ...] = tuple(_checked_edges(self.nodes, edges, True))
         self._parents: dict[str, set[str]] = {n: set() for n in self.nodes}
         self._children: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for u, v in edges:
-            if u not in node_set or v not in node_set:
-                raise ValueError(f"edge ({u!r}, {v!r}) references unknown node")
-            if u == v:
-                raise ValueError(f"self-loop at {u!r}")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u!r}, {v!r})")
-            seen.add((u, v))
-            ordered.append((u, v))
+        for u, v in self.edges:
             self._parents[v].add(u)
             self._children[u].add(v)
-        self.edges: tuple[tuple[str, str], ...] = tuple(ordered)
 
     def parents_of(self, node: str) -> frozenset:
         return frozenset(self._parents[node])
@@ -61,20 +69,11 @@ class UGraph:
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         self.nodes: tuple[str, ...] = tuple(nodes)
-        node_set = set(self.nodes)
-        if len(node_set) != len(self.nodes):
-            raise ValueError("duplicate node names")
+        self.edges: frozenset = frozenset(map(frozenset, _checked_edges(self.nodes, edges, False)))
         self._adj: dict[str, set[str]] = {n: set() for n in self.nodes}
-        pairs: set[frozenset] = set()
-        for u, v in edges:
-            if u not in node_set or v not in node_set:
-                raise ValueError(f"edge ({u!r}, {v!r}) references unknown node")
-            if u == v:
-                raise ValueError(f"self-loop at {u!r}")
-            pairs.add(frozenset((u, v)))
+        for u, v in self.edges:
             self._adj[u].add(v)
             self._adj[v].add(u)
-        self.edges: frozenset = frozenset(pairs)
 
     def neighbors_of(self, node: str) -> frozenset:
         return frozenset(self._adj[node])
@@ -415,32 +414,30 @@ def nonadjacent_scc_independence(g: DiGraph, block_a: str | Iterable[str],
 # -- DOT export ----------------------------------------------------------------
 
 
-def digraph_to_dot(g: DiGraph, name: str = "g") -> str:
-    lines = [f"digraph {name} {{"]
-    for n in g.nodes:
-        lines.append(f'  "{n}";')
-    for u, v in g.edges:
-        lines.append(f'  "{u}" -> "{v}";')
-    lines.append("}")
+def _to_dot(kind: str, name: str, nodes: Iterable[str], edges: Iterable[Iterable[str]]) -> str:
+    """DOT text of a ``digraph`` or ``graph``: the header, one statement per
+    node and per edge, then ``}``.  Nodes and edge ends come as DOT text (an
+    ID, or a node ID with its attributes)."""
+    arrow = " -> " if kind == "digraph" else " -- "
+    lines = [f"{kind} {name} {{", *(f"  {s};" for s in (*nodes, *map(arrow.join, edges))), "}"]
     return "\n".join(lines) + "\n"
+
+
+_quoted = '"{}"'.format
+
+
+def digraph_to_dot(g: DiGraph, name: str = "g") -> str:
+    return _to_dot("digraph", name, map(_quoted, g.nodes), (map(_quoted, e) for e in g.edges))
 
 
 def ugraph_to_dot(g: UGraph, name: str = "g") -> str:
-    lines = [f"graph {name} {{"]
-    for n in g.nodes:
-        lines.append(f'  "{n}";')
-    for e in sorted(tuple(sorted(e)) for e in g.edges):
-        lines.append(f'  "{e[0]}" -- "{e[1]}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges = sorted(tuple(sorted(e)) for e in g.edges)
+    return _to_dot("graph", name, map(_quoted, g.nodes), (map(_quoted, e) for e in edges))
 
 
 def partition_to_dot(part: GraphPartition, name: str = "partition") -> str:
-    lines = [f"digraph {name} {{"]
+    nodes = []
     for block, members in part.blocks.items():
         label = block + r"\n{" + ", ".join(sorted(members)) + "}"
-        lines.append(f'  "{block}" [label="{label}"];')
-    for u, v in part.graph.edges:
-        lines.append(f'  "{u}" -> "{v}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        nodes.append(f'"{block}" [label="{label}"]')
+    return _to_dot("digraph", name, nodes, (map(_quoted, e) for e in part.graph.edges))

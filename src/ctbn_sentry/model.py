@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
 
-from .graphs import DiGraph, digraph_to_dot, is_ancestral
+from .graphs import DiGraph, _to_dot, digraph_to_dot, is_ancestral
 
 ROW_SUM_TOL = 1e-9
 DEFAULT_STATE_CAP = 1 << 20
@@ -121,7 +121,9 @@ class CtbnModel:
             tuple(c if isinstance(c, Cim) else Cim(c) for c in self.cims),
         )
         if self.initial_state is not None:
-            object.__setattr__(self, "initial_state", tuple(int(v) for v in self.initial_state))
+            # integers of any type as ints; anything else as given, for validation to report
+            object.__setattr__(self, "initial_state", tuple(
+                int(v) if isinstance(v, numbers.Integral) else v for v in self.initial_state))
         if self.initial_distribution is not None:
             arr = np.asarray(self.initial_distribution, dtype=float)
             arr.flags.writeable = False
@@ -147,15 +149,7 @@ class CtbnModel:
 
     @cached_property
     def state_count(self) -> int:
-        n = 1
-        for c in self.cardinalities:
-            n *= c
-        return n
-
-    @cached_property
-    def state_multipliers(self) -> tuple[int, ...]:
-        """Mixed-radix place values; first process most significant."""
-        return _place_values(self.cardinalities)
+        return math.prod(self.cardinalities)
 
     @cached_property
     def parent_indices(self) -> tuple[tuple[int, ...], ...]:
@@ -176,14 +170,6 @@ class CtbnModel:
         the sampler (see :class:`RateTable`)."""
         require_valid(self)
         return _rate_table(self)
-
-    @cached_property
-    def children_indices(self) -> tuple[tuple[int, ...], ...]:
-        kids: list[list[int]] = [[] for _ in self.processes]
-        for j, parents in enumerate(self.parent_indices):
-            for p in parents:
-                kids[p].append(j)
-        return tuple(tuple(sorted(k)) for k in kids)
 
     def process_index(self, process: int | str) -> int:
         if isinstance(process, str):
@@ -210,11 +196,6 @@ class RateTable:
     cardinalities: tuple[int, ...]
 
     @property
-    def place_values(self) -> tuple[int, ...]:
-        """Mixed-radix place values of the joint index (see :func:`state_index`)."""
-        return _place_values(self.cardinalities)
-
-    @property
     def flat_bytes(self) -> int:
         """Bytes of :attr:`flat`, known before it is built: per joint state a
         float64, an int32 and an int16 for each of its real moves and a
@@ -231,7 +212,7 @@ class RateTable:
         cum, nxt = _move_table(self)
         np.cumsum(cum, axis=1, out=cum)
         process = np.repeat(np.arange(len(cards), dtype=np.int32), [c - 1 for c in cards])
-        place, card = (np.array(v, dtype=np.int32)[process] for v in (self.place_values, cards))
+        place, card = (np.array(v, dtype=np.int32)[process] for v in (_place_values(cards), cards))
         local = nxt // place
         local %= card
         # the last column, copied; a sum of one entry is that entry, and of none 0
@@ -264,7 +245,8 @@ def _move_table(table: RateTable) -> tuple[np.ndarray, np.ndarray]:
     :attr:`RateTable.flat`.  Local states are decoded one process at a time,
     so the temporaries beside the two tables are a few state vectors.  Both
     users cap the state count far below 2^31."""
-    cards, place = table.cardinalities, table.place_values
+    cards = table.cardinalities
+    place = _place_values(cards)
     idx = np.arange(math.prod(cards), dtype=np.int32)
     degree = sum(c - 1 for c in cards)
     rates = np.empty((idx.size, degree))
@@ -346,11 +328,10 @@ def state_from_index(index: int, model: CtbnModel | StateSpaceGraph) -> tuple[in
     return tuple(state.tolist())
 
 
-def state_indices(states, cardinalities: Sequence[int]) -> np.ndarray:
-    """Joint indices of states given as local states along the last axis,
-    the inverse of :func:`states_from_indices`.  Raises ``ValueError`` for
-    a state of the wrong length, a local state that is not an integer, or
-    one out of range for its process."""
+def _check_states(states, cardinalities: Sequence[int]) -> np.ndarray:
+    """States given as local states along the last axis, as an integer
+    array.  Raises ``ValueError`` for a state of the wrong length, a local
+    state that is not an integer, or one out of range for its process."""
     values = _integers(states, "local state")
     n = len(cardinalities)
     if values.shape[-1:] != (n,):
@@ -361,6 +342,18 @@ def state_indices(states, cardinalities: Sequence[int]) -> np.ndarray:
     if bad.size:
         raise ValueError(f"local state {values[tuple(bad[0])]} out of range "
                          f"for cardinality {cards[bad[0, -1]]}")
+    return values
+
+
+def state_indices(states, cardinalities: Sequence[int]) -> np.ndarray:
+    """Joint indices of states given as local states along the last axis,
+    the inverse of :func:`states_from_indices`.  Raises ``ValueError`` where
+    :func:`_check_states` does, and when the joint space has more states
+    than int64 indices reach."""
+    values = _check_states(states, cardinalities)
+    count = math.prod(cardinalities)
+    if count - 1 > np.iinfo(np.int64).max:
+        raise ValueError(f"the joint space has {count} states, past int64 indices")
     return values.astype(np.int64) @ np.array(_place_values(cardinalities), dtype=np.int64)
 
 
@@ -503,15 +496,10 @@ def validate_model(model: CtbnModel, include_warnings: bool = False) -> list[Vio
         err("initial", "<model>",
             "exactly one of initial_state / initial_distribution must be set")
     elif model.initial_state is not None:
-        if len(model.initial_state) != model.process_count:
-            err("initial", "<model>",
-                f"initial state has {len(model.initial_state)} entries, "
-                f"expected {model.process_count}")
-        else:
-            for v, p in zip(model.initial_state, model.processes):
-                if not 0 <= v < p.cardinality:
-                    err("initial", p.name,
-                        f"initial local state {v} out of range for {p.name!r}")
+        try:
+            _check_states(model.initial_state, model.cardinalities)
+        except ValueError as exc:
+            err("initial", "<model>", f"initial state: {exc}")
     else:
         dist = model.initial_distribution
         if not out:  # state_count only meaningful on structurally sound models
@@ -543,15 +531,6 @@ def require_valid(model: CtbnModel) -> None:
 # -- rate lookups and amalgamation ------------------------------------------
 
 
-def parent_config_index(model: CtbnModel, process: int | str, state: Sequence[int]) -> int:
-    """Mixed-radix index of the parent configuration extracted from `state`."""
-    j = model.process_index(process)
-    idx = 0
-    for p, m in zip(model.parent_indices[j], model.parent_multipliers[j]):
-        idx += int(state[p]) * m
-    return idx
-
-
 def local_rate(model: CtbnModel, process: int | str, state: Sequence[int]) -> np.ndarray:
     """Active intensity-matrix row for a process in a given joint state.
 
@@ -559,7 +538,8 @@ def local_rate(model: CtbnModel, process: int | str, state: Sequence[int]) -> np
     the process's own current local state.
     """
     j = model.process_index(process)
-    cfg = parent_config_index(model, j, state)
+    parents = model.parent_indices[j]
+    cfg = state_indices([state[p] for p in parents], [model.cardinalities[p] for p in parents])
     return model.cims[j].matrices[cfg][int(state[j])]
 
 
@@ -636,10 +616,7 @@ class StateSpaceGraph:
 
     @property
     def node_count(self) -> int:
-        n = 1
-        for c in self.cardinalities:
-            n *= c
-        return n
+        return math.prod(self.cardinalities)
 
     @property
     def degree(self) -> int:
@@ -806,12 +783,12 @@ def model_to_json_dict(model: CtbnModel) -> dict:
     return doc
 
 
-def model_from_json_dict(doc: dict, reject_unknown: bool = False) -> CtbnModel:
-    known = {"processes", "cims", "initial_state", "initial_distribution"}
-    if reject_unknown:
-        extra = set(doc) - known
-        if extra:
-            raise ValueError(f"unknown model fields: {sorted(extra)}")
+def model_from_json_dict(doc: dict) -> CtbnModel:
+    """The model of a JSON document (see :func:`model_to_json_dict`); raises
+    ``ValueError`` for a field it does not know."""
+    extra = set(doc) - {"processes", "cims", "initial_state", "initial_distribution"}
+    if extra:
+        raise ValueError(f"unknown model fields: {sorted(extra)}")
     processes = tuple(
         ProcessSpec(p["name"], int(p["cardinality"]), tuple(p.get("parents", ())))
         for p in doc["processes"]
@@ -837,10 +814,9 @@ def save_model(model: CtbnModel, path) -> None:
         fh.write("\n")
 
 
-def load_model(path, reject_unknown: bool = False) -> CtbnModel:
+def load_model(path) -> CtbnModel:
     with open(path) as fh:
-        doc = json.load(fh)
-    return model_from_json_dict(doc, reject_unknown=reject_unknown)
+        return model_from_json_dict(json.load(fh))
 
 
 def model_to_dot(model: CtbnModel) -> str:
@@ -849,11 +825,7 @@ def model_to_dot(model: CtbnModel) -> str:
 
 def state_space_to_dot(model: CtbnModel, max_states: int = 4096) -> str:
     gs = build_state_space_graph(model, max_states=max_states)
-    lines = ["graph state_space {"]
     labels = state_bits(states_from_indices(np.arange(gs.node_count), gs.cardinalities))
-    for i, label in enumerate(labels):
-        lines.append(f'  s{i} [label="{label}"];')
-    for i, j in gs.edges():
-        lines.append(f"  s{i} -- s{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _to_dot("graph", "state_space",
+                   (f's{i} [label="{label}"]' for i, label in enumerate(labels)),
+                   ((f"s{i}", f"s{j}") for i, j in gs.edges()))

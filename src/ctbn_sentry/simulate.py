@@ -43,11 +43,12 @@ import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .model import CtbnModel, RateTable, state_bits, state_index, states_from_indices
+from .model import (CtbnModel, RateTable, _check_states, _place_values, state_bits,
+                    states_from_indices)
 
 _MASK64 = (1 << 64) - 1
 # Largest FlatTable the engine builds, in bytes: 16 MiB holds a binary model
@@ -101,14 +102,6 @@ def _check_times(times: np.ndarray, offsets: np.ndarray, t_end: float) -> None:
         raise ValueError("event beyond t_end")
 
 
-class Event(NamedTuple):
-    """A single-component transition: at `time`, `process` moved to `new_local_state`."""
-
-    time: float
-    process: int
-    new_local_state: int
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """A right-continuous piecewise-constant realization on [0, t_end].
@@ -134,11 +127,6 @@ class Trajectory:
     @property
     def event_count(self) -> int:
         return int(self.times.size)
-
-    def iter_events(self) -> Iterator[Event]:
-        for t, p, s in zip(self.times.tolist(), self.processes.tolist(),
-                           self.new_states.tolist()):
-            yield Event(t, p, s)
 
 
 @dataclass(frozen=True)
@@ -284,9 +272,11 @@ def _initial_states(model: CtbnModel, keys: np.ndarray,
         index = np.minimum(np.searchsorted(cum, _uniforms(keys, [0])[:, 0], side="right"),
                            model.state_count - 1)
         return states_from_indices(index, model.cardinalities)
-    state = model.initial_state if initial is None else initial
-    state_index(state, model)  # the encoder's length, integer and range checks
-    return np.tile(np.asarray(state, dtype=np.int64), (keys.size, 1))
+    state = _check_states(model.initial_state if initial is None else initial,
+                          model.cardinalities)
+    if state.ndim != 1:
+        raise ValueError(f"expected one initial state, got an array of shape {state.shape}")
+    return np.tile(state.astype(np.int64), (keys.size, 1))
 
 
 def _flat(table: RateTable) -> bool:
@@ -330,7 +320,7 @@ def _steps(table: RateTable, keys: np.ndarray, start: np.ndarray,
         x = start.astype(np.int64)
         state = (x, x @ table.weights + table.offsets, None)
     else:  # the joint index
-        state = (start @ np.array(table.place_values),)
+        state = (start @ np.array(_place_values(table.cardinalities)),)  # callers check start
     t = np.zeros(keys.size)
     draw = 1
     while live.size and n:

@@ -67,11 +67,16 @@ def toggler_model(rate_up=2.0, rate_down=None):
     )
 
 
-def chain13_model() -> CtbnModel:
-    """A 13-process replicator chain, 8 192 states: the benchmark's Monte Carlo model."""
-    names = tuple(f"P{j:02d}" for j in range(13))
+def chain_model(n: int) -> CtbnModel:
+    """An n-process replicator chain, 2^n states."""
+    names = tuple(f"P{j:02d}" for j in range(n))
     return build_replicator_ctbn(DiGraph(names, tuple(zip(names[:-1], names[1:]))),
                                  {names[0]}, (1.0, 5.0), 15.0, 0.1)
+
+
+def chain13_model() -> CtbnModel:
+    """A 13-process replicator chain, 8 192 states: the benchmark's Monte Carlo model."""
+    return chain_model(13)
 
 
 def zero_rate_model(n=1):

@@ -1,11 +1,15 @@
+import argparse
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from ctbn_sentry import cli
 from ctbn_sentry import experiments as experiments_module
-from ctbn_sentry import save_model
+from ctbn_sentry import model_to_json_dict, save_model
 from ctbn_sentry.cli import main
+from conftest import chain_model
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -39,6 +43,33 @@ def test_validate_unreadable(tmp_path, capsys):
     path.write_text('{"processes": [')
     assert run(["validate", str(path)]) == 2
     assert run(["validate", str(tmp_path / "missing.json")]) == 2
+
+
+def test_validate_non_integer_initial_state(chain3, tmp_path, capsys):
+    doc = model_to_json_dict(chain3)
+    doc["initial_state"] = [0, 1.5, 0.9]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == 1
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["code"], r["message"]) for r in records] == [
+        ("initial", "initial state: local state 1.5 is not an integer")]
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda doc: doc.update(comment="extra"), "unknown model fields: ['comment']"),
+    (lambda doc: doc["cims"]["B"][0].pop(), "inhomogeneous shape"),  # a ragged CIM
+    (lambda doc: doc["processes"][0].update(cardinality="two"), "invalid literal for int()"),
+], ids=["unknown-field", "ragged-cim", "cardinality"])
+def test_unreadable_model_file(change, message, chain3, tmp_path, capsys):
+    doc = model_to_json_dict(chain3)
+    change(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read model {str(path)!r}: ") and message in err
+    assert err.count("\n") == 1
 
 
 def test_validate_bad_row_sum(chain3_path, tmp_path, capsys):
@@ -88,6 +119,21 @@ def test_simulate_initial_flag(chain3_path, tmp_path):
                 "--seed", "1", "--single-file", "--out", str(out)]) == 0
     rows = out.read_text().strip().splitlines()[1:]
     assert [r.split(",")[3] for r in rows] == ["1", "1", "1"]
+
+
+@pytest.mark.parametrize("n", [64, 100])
+def test_simulate_past_int64_joint_indices(n, tmp_path):
+    model = chain_model(n)
+    path = tmp_path / "chain.json"
+    save_model(model, path)
+    out = tmp_path / "ensemble.csv"
+    assert run(["simulate", str(path), "--t-end", "2", "--trajectories", "3",
+                "--single-file", "--out", str(out)]) == 0
+    assert out.read_text().count(",0.0,") == 3 * n  # every member's time-0 rows
+    start = tmp_path / "start.csv"
+    assert run(["simulate", str(path), "--initial", "1" + "0" * (n - 1), "--t-end", "0",
+                "--single-file", "--out", str(start)]) == 0
+    assert start.read_text().splitlines()[1] == "0,0.0,P00,1"
 
 
 def test_simulate_bad_initial(chain3_path, tmp_path, capsys):
@@ -174,6 +220,21 @@ def test_negative_max_active_usage_error(command, capsys):
     assert "non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("parse, lowest, below, message", [
+    (cli._positive_float, "1e-300", "0", "expected a positive number, got 0"),
+    (cli._nonneg_float, "0", "-1e-300", "expected a non-negative number, got -1e-300"),
+    (cli._positive_int, "1", "0", "expected a positive integer, got 0"),
+    (cli._nonneg_int, "0", "-1", "expected a non-negative integer, got -1"),
+    (cli._cascade_length, "2", "1", "minimum cascade length must be >= 2, got 1"),
+])
+def test_number_flag_bounds(parse, lowest, below, message):
+    assert parse(lowest) == float(lowest)
+    with pytest.raises(argparse.ArgumentTypeError, match=f"^{message}$"):
+        parse(below)
+    if isinstance(parse(lowest), float):  # NaN and inf pass; the library rejects them
+        assert math.isnan(parse("nan")) and parse("inf") == math.inf
+
+
 @pytest.mark.parametrize("values, message", [
     ({"max-active": -1}, "argument --max-active: expected a non-negative integer, got -1"),
     ({"trajectories": 2.5}, "argument --trajectories: invalid _positive_int value: '2.5'"),
@@ -199,6 +260,24 @@ def test_config_values_for_experiment_are_checked(tmp_path, capsys):
     assert exc.value.code == 2
     assert "non-negative integer" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("values, key", [
+    ({"trajectoris": 10, "bogus": 1}, "trajectoris"),
+    ({"alpha": 0.1, "min-length": 3}, "min-length"),  # a flag of cascades only
+    ({"config": "other.json"}, "config"),
+    ({"model": "other.json"}, "model"),  # a positional, not a flag
+])
+def test_config_unknown_key_is_usage_error(values, key, chain3_path, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    out = tmp_path / "s.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["--config", str(config), "sentry", chain3_path, "--exact", "--out", str(out)])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [f"ctbn-sentry sentry: error: config key {key!r} is not a flag of sentry"]
+    assert not out.exists()
 
 
 def test_config_boolean_and_flag_precedence(chain3_path, tmp_path):
@@ -318,6 +397,11 @@ def test_graph_moralize_dot(chain3_path, capsys):
     assert run(["graph", chain3_path, "moralize"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("graph") and '"A" -- "B"' in out
+
+
+def test_graph_moralize_golden(tmp_path, capsys):
+    assert run(["graph", _shape_model("cycle-chain6", tmp_path), "moralize"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "moralize_cycle-chain6.dot").read_text()
 
 
 def test_graph_partition_file(chain3_path, tmp_path, capsys):

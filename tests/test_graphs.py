@@ -71,6 +71,27 @@ def test_digraph_rejects_bad_edges():
         DiGraph(("A",), (("A", "B"),))
 
 
+@pytest.mark.parametrize("nodes, edges, message", [
+    (("A", "A"), (), "duplicate node names"),
+    (("A",), (("A", "B"),), "references unknown node"),
+    (("A",), (("A", "A"),), "self-loop at 'A'"),
+])
+def test_both_graphs_reject_bad_edges_alike(nodes, edges, message):
+    for cls in (DiGraph, UGraph):
+        with pytest.raises(ValueError, match=message):
+            cls(nodes, edges)
+
+
+def test_ugraph_merges_repeated_edges_and_digraph_keeps_order():
+    ug = UGraph(("A", "B", "C"), (("A", "B"), ("B", "A"), ("A", "B"), ("C", "B")))
+    assert ug.edges == {frozenset("AB"), frozenset("BC")}
+    assert ug.neighbors_of("B") == {"A", "C"}
+    g = DiGraph(("A", "B", "C"), (("C", "B"), ("A", "B"), ("B", "A")))
+    assert g.edges == (("C", "B"), ("A", "B"), ("B", "A"))
+    with pytest.raises(ValueError, match=r"duplicate edge \('A', 'B'\)"):
+        DiGraph(("A", "B"), (("A", "B"), ("A", "B")))
+
+
 def test_parents_and_closure():
     g = plant_graph()
     assert parents(g, {"P1"}) == {"T1", "S4"}

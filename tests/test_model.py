@@ -125,6 +125,33 @@ def test_absorbing_state_is_warning_only():
     assert warnings and all(v.severity == "warning" for v in warnings)
 
 
+def test_initial_state_is_not_truncated(chain3):
+    model = CtbnModel(chain3.processes, chain3.cims, initial_state=(0, 1.7, 0))
+    assert model.initial_state == (0, 1.7, 0)
+    assert [(v.code, v.message) for v in validate_model(model)] == [
+        ("initial", "initial state: local state 1.7 is not an integer")]
+    doc = model_to_json_dict(chain3)
+    doc["initial_state"] = [0, 1.5, 0.9]
+    loaded = model_from_json_dict(doc)
+    assert loaded.initial_state == (0, 1.5, 0.9)
+    assert [v.code for v in validate_model(loaded)] == ["initial"]
+    # integers of any type are kept, as Python ints
+    exact = CtbnModel(chain3.processes, chain3.cims, initial_state=np.array([0, 1, 1]))
+    assert exact.initial_state == (0, 1, 1) and type(exact.initial_state[1]) is int
+    assert validate_model(exact) == []
+
+
+@pytest.mark.parametrize("state, message", [
+    ((0, 0), "state has 2 entries, model has 3 processes"),
+    ((0, 2, 0), "local state 2 out of range for cardinality 2"),
+    ((0, -1, 0), "local state -1 out of range for cardinality 2"),
+])
+def test_initial_state_checked_by_the_codec(chain3, state, message):
+    model = CtbnModel(chain3.processes, chain3.cims, initial_state=state)
+    assert [(v.code, v.message) for v in validate_model(model)] == [
+        ("initial", f"initial state: {message}")]
+
+
 def test_initial_distribution_checks(chain3):
     dist = np.full(8, 1 / 8)
     ok = CtbnModel(chain3.processes, chain3.cims, initial_distribution=dist)
@@ -286,6 +313,16 @@ def test_scalar_encoder_raises_the_vector_encoders_errors(state):
     assert str(scalar.value) == str(vector.value)
 
 
+@pytest.mark.parametrize("n", [63, 64, 100])
+def test_state_indices_up_to_int64(n):
+    cards = (2,) * n
+    if n == 63:  # 2^63 states: the last index is the largest int64
+        assert state_indices((1,) * n, cards) == np.iinfo(np.int64).max
+    else:
+        with pytest.raises(ValueError, match=f"joint space has {2 ** n} states"):
+            state_indices((1,) * n, cards)
+
+
 def test_state_indices_inverts_states_from_indices():
     rng = np.random.default_rng(16)
     for _ in range(20):
@@ -405,13 +442,14 @@ def test_amalgamate_matches_local_rate_on_random_models():
 def _amalgamate_loop(model):
     """Reference flattening: one Python pass over states, processes and targets."""
     n = model.state_count
+    place = StateSpaceGraph(model.cardinalities).multipliers
     Q = np.zeros((n, n))
     for i, x in enumerate(enumerate_states(model)):
         for j in range(model.process_count):
             row = local_rate(model, j, x)
             for s in range(model.cardinalities[j]):
                 if s != x[j] and row[s] != 0.0:
-                    Q[i, i + (s - x[j]) * model.state_multipliers[j]] = row[s]
+                    Q[i, i + (s - x[j]) * place[j]] = row[s]
         Q[i, i] = -Q[i].sum()
     return Q
 
@@ -696,12 +734,15 @@ def test_model_json_round_trip(chain3, tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_model_json_rejects_unknown_fields_only_when_asked(chain3, tmp_path):
+def test_model_json_rejects_unknown_fields(chain3, tmp_path):
     doc = model_to_json_dict(chain3)
     doc["comment"] = "extra"
-    assert model_from_json_dict(doc).names == chain3.names
-    with pytest.raises(ValueError):
-        model_from_json_dict(doc, reject_unknown=True)
+    with pytest.raises(ValueError, match=r"unknown model fields: \['comment'\]"):
+        model_from_json_dict(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="unknown model fields"):
+        load_model(path)
 
 
 def test_ctbn_graph_and_dot(chain3):
@@ -712,3 +753,8 @@ def test_ctbn_graph_and_dot(chain3):
     sdot = state_space_to_dot(chain3)
     assert sdot.count(" -- ") == 12  # cube graph edges
     assert sdot == (GOLDEN / "state_space_chain3.dot").read_text()
+
+
+def test_model_to_dot_golden():
+    model = experiment_spec("complex9").build_model()
+    assert model_to_dot(model) == (GOLDEN / "model_complex9.dot").read_text()

@@ -39,8 +39,30 @@ from ctbn_sentry import model as model_module
 from ctbn_sentry import simulate as simulate_module
 from ctbn_sentry.simulate import (_MASK64, _member_keys, _splitmix64, _step_bytes, _stream,
                                   format_float)
-from conftest import (chain13_model, independent_togglers, make_random_model,
+from conftest import (chain13_model, chain_model, independent_togglers, make_random_model,
                       random_trajectories, toggler_model, zero_rate_model)
+
+
+@pytest.mark.parametrize("n", [64, 100])
+def test_sampling_past_int64_joint_indices(n, tmp_path):
+    # the joint space has 2^n states, more than int64 indices reach; the
+    # sampler works on local states and never needs a joint index
+    model = chain_model(n)
+    with pytest.raises(ValueError, match=f"{2 ** n} states"):
+        state_index(model.initial_state, model)
+    config = SimulationConfig(3.0, 4, 11)
+    ensemble = sample_ensemble(model, None, config)
+    assert ensemble.event_count > 0 and ensemble.initial_states.shape == (4, n)
+    assert sample_ensemble(model, (1,) + (0,) * (n - 1), config).initial_states[:, 0].all()
+    for bad in [(0,) * (n - 1), (2,) + (0,) * (n - 1), (0.5,) + (0,) * (n - 1)]:
+        with pytest.raises(ValueError):
+            sample_ensemble(model, bad, config)
+    path = tmp_path / "ensemble.csv"
+    write_ensemble_csv(ensemble, path, model.names)
+    again, names = read_ensemble_csv(path, config.t_end)
+    assert names == list(model.names)
+    assert np.array_equal(again.times, ensemble.times)
+    assert np.array_equal(again.initial_states, ensemble.initial_states)
 
 
 def test_seed_derivation_is_pinned():
@@ -122,9 +144,9 @@ def test_trajectory_invariants(chain3):
     assert traj.times[-1] <= 50.0
     # exactly one component changes, and to a genuinely new value
     values = list(traj.initial_state)
-    for ev in traj.iter_events():
-        assert values[ev.process] != ev.new_local_state
-        values[ev.process] = ev.new_local_state
+    for j, s in zip(traj.processes.tolist(), traj.new_states.tolist()):
+        assert values[j] != s
+        values[j] = s
 
 
 @pytest.mark.parametrize("times", [[math.nan], [1.0, math.nan], [1.0, math.inf]])
@@ -219,11 +241,12 @@ def test_holding_times_match_amalgamated_exit_rates(chain3):
     for traj in ensemble:
         values = list(traj.initial_state)
         prev_t = 0.0
-        for ev in traj.iter_events():
+        for t, j, s in zip(traj.times.tolist(), traj.processes.tolist(),
+                           traj.new_states.tolist()):
             if prev_t < cutoff:
-                holds[state_index(tuple(values), chain3)].append(ev.time - prev_t)
-            values[ev.process] = ev.new_local_state
-            prev_t = ev.time
+                holds[state_index(tuple(values), chain3)].append(t - prev_t)
+            values[j] = s
+            prev_t = t
     checked = 0
     for i, samples in holds.items():
         if len(samples) < 200:
@@ -432,7 +455,7 @@ def reference_clock_trajectory(model, initial, t_end, rng):
         rates = row(j)
         values[j] = rng.choices(range(len(rates)), weights=rates)[0]
         events.append((now, j, values[j]))
-        for i in {j, *model.children_indices[j]}:
+        for i in {j, *(k for k, parents in enumerate(model.parent_indices) if j in parents)}:
             clocks[i] = clock(now, i)
 
 
@@ -466,7 +489,8 @@ def test_engine_matches_clock_reference(name, chain3):
     model = chain3 if name == "chain3" else _first_model_with_three_states()
     n, t_end = 2000, 12.0
     ensemble = sample_ensemble(model, None, SimulationConfig(t_end, n, 404))
-    engine = [(t.initial_state, list(t.iter_events())) for t in ensemble]
+    engine = [(t.initial_state, list(zip(t.times.tolist(), t.processes.tolist(),
+                                         t.new_states.tolist()))) for t in ensemble]
     rng = random.Random(405)
     reference = [(model.initial_state,
                   reference_clock_trajectory(model, model.initial_state, t_end, rng))
