@@ -299,13 +299,15 @@ def _place_values(cardinalities: Sequence[int]) -> tuple[int, ...]:
 
 def _integers(values, what: str) -> np.ndarray:
     """`values` as an array of any integer dtype (or of Python ints), else a
-    ``ValueError`` naming the first value that is not an integer."""
+    ``ValueError`` naming the first value that is not an integer: a number
+    by its text, anything else (a string) by its repr."""
     array = np.asarray(values)
     if array.dtype.kind not in "biu":  # Python ints past int64, floats, mixed types
         wrong = [v for v in np.asarray(values, dtype=object).flat
                  if not isinstance(v, numbers.Integral)]
         if wrong:
-            raise ValueError(f"{what} {wrong[0]} is not an integer")
+            value = wrong[0] if isinstance(wrong[0], numbers.Number) else repr(wrong[0])
+            raise ValueError(f"{what} {value} is not an integer")
     return array
 
 
@@ -377,9 +379,17 @@ def states_from_indices(indices, cardinalities: Sequence[int]) -> np.ndarray:
 
 
 def state_bits(states: np.ndarray) -> list[str]:
-    """The text of each row of local states: its digits run together."""
+    """The text of each row of local states: its digits run together.
+
+    When every local state is 0 to 9, each row's digit codes are viewed as
+    one numpy string; a larger state takes a ``"%d"`` per process.
+    """
     states = np.asarray(states)
-    template = "%d" * states.shape[-1]
+    n = states.shape[-1]
+    if n and states.size and 0 <= states.min() and states.max() <= 9:
+        codes = np.ascontiguousarray(states + ord("0"), dtype=np.uint32)  # UCS4 code points
+        return codes.view(f"U{n}").ravel().tolist()
+    template = "%d" * n
     return [template % row for row in map(tuple, states.tolist())]
 
 
@@ -785,12 +795,15 @@ def model_to_json_dict(model: CtbnModel) -> dict:
 
 def model_from_json_dict(doc: dict) -> CtbnModel:
     """The model of a JSON document (see :func:`model_to_json_dict`); raises
-    ``ValueError`` for a field it does not know."""
+    ``ValueError`` for a field it does not know or a cardinality that is not
+    an integer."""
     extra = set(doc) - {"processes", "cims", "initial_state", "initial_distribution"}
     if extra:
         raise ValueError(f"unknown model fields: {sorted(extra)}")
     processes = tuple(
-        ProcessSpec(p["name"], int(p["cardinality"]), tuple(p.get("parents", ())))
+        ProcessSpec(p["name"],
+                    int(_integers(p["cardinality"], f"process {p['name']!r}: cardinality")),
+                    tuple(p.get("parents", ())))
         for p in doc["processes"]
     )
     raw_cims = doc["cims"]

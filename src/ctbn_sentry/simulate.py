@@ -36,8 +36,11 @@ Reproducibility contract: a trajectory is fully determined by
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
+import io
+import itertools
 import numbers
 import os
 import warnings
@@ -418,24 +421,38 @@ def _parts(ensemble: Ensemble) -> Iterator[Ensemble]:
         lo = hi
 
 
-def _cells(column) -> Iterable:
-    """A column's CSV cells: floats by :data:`format_float`, rows of local
-    states by :func:`~ctbn_sentry.model.state_bits`, anything else as it is."""
+def _cells(column) -> tuple[str, list]:
+    """A column's field in the row template and its cells: floats by
+    ``%.17g``, the text of :data:`format_float`; integers by ``%d``; rows of
+    local states as the text of :func:`~ctbn_sentry.model.state_bits`;
+    anything else (strings, bools) as its ``str``."""
     column = np.asarray(column)
     if column.ndim == 2:
-        return state_bits(column)
-    return map(format_float, column.tolist()) if column.dtype.kind == "f" else column.tolist()
+        return "%s", state_bits(column)
+    return {"f": "%.17g", "i": "%d", "u": "%d"}.get(column.dtype.kind, "%s"), column.tolist()
 
 
 def _write_table(path, header: Sequence[str], chunks: Iterable[Sequence]) -> None:
-    """Write a CSV file: the header, then the rows of each chunk of equal-length
-    columns, formatted ``_PART_EVENTS`` rows at a time (see :func:`_cells`)."""
+    """Write a CSV file: the header by ``csv.writer``, then the rows of each
+    chunk of equal-length columns, ``_PART_EVENTS`` rows at a time, by one
+    row template (see :func:`_cells`).  Rows end in ``\\r\\n``, as
+    ``csv.writer``'s do.  String cells are written as they are, so a caller
+    quotes a string that needs it (see :func:`_csv_field`).  ``writelines``
+    takes the rows as they are formatted: no text of a whole chunk is held."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
+        csv.writer(fh).writerow(header)
         for columns in chunks:
             for lo in range(0, len(columns[0]), _PART_EVENTS):
-                w.writerows(zip(*(_cells(c[lo:lo + _PART_EVENTS]) for c in columns)))
+                fields, cells = zip(*(_cells(c[lo:lo + _PART_EVENTS]) for c in columns))
+                fh.writelines(map((",".join(fields) + "\r\n").__mod__, zip(*cells)))
+
+
+def _csv_field(text: str) -> str:
+    """`text` as ``csv.writer`` writes it in a row of several fields: quoted
+    when it holds a comma, a quote or a line break."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow([text, ""])
+    return buffer.getvalue()[:-len(",\r\n")]
 
 
 def _write_files(writes: Iterable[tuple[str | Path, Callable[[str | Path], object]]],
@@ -462,8 +479,9 @@ def _write_files(writes: Iterable[tuple[str | Path, Callable[[str | Path], objec
 
 def _trajectory_rows(ensemble: Ensemble, names: Sequence[str]) -> Iterator[list]:
     """The id, time, process and state columns of an ensemble CSV, one chunk
-    per part: each member's time-0 rows (time written 0.0), then its events."""
-    names = np.array(names, dtype=object)
+    per part: each member's time-0 rows (time written 0.0), then its events.
+    Times and process names are CSV text, the names quoted once each."""
+    names = np.array([_csv_field(name) for name in names], dtype=object)
     for part in _parts(ensemble):
         members, n = part.initial_states.shape
         at = np.repeat(part.offsets[:-1], n)  # a member's time-0 rows go before its events
@@ -489,24 +507,24 @@ def write_ensemble_csv(trajectories: Iterable[Trajectory], path,
 
 
 def _read_columns(path, header: list[str]) -> tuple[np.ndarray, list[str]]:
-    """Parse a CSV whose header starts with `header` column by column.
+    """Parse a CSV whose header starts with `header` column by column: the
+    header by ``csv.reader``, the rows by ``np.loadtxt``.
 
     Returns a structured array with one field per column, the process column
     holding codes into the returned list of process names (in order of first
     appearance).
     """
-    names: dict[str, int] = {}
+    names = collections.defaultdict(itertools.count().__next__)  # code by first appearance
     dtype = [(h, "f8" if h == "time" else "i8") for h in header]
     with open(path) as fh:
         found = next(csv.reader(fh), [])
-        if found[:len(header)] != header:
-            raise ValueError(f"unexpected CSV header {found}, expected {header}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a header alone holds no rows
-            rows = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=1,
-                              dtype=dtype, converters={
-                                  header.index("process"):
-                                      lambda name: names.setdefault(name, len(names))})
+    if found[:len(header)] != header:
+        raise ValueError(f"unexpected CSV header {found}, expected {header}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a header alone holds no rows
+        rows = np.loadtxt(path, skiprows=1, delimiter=",", quotechar='"', comments=None,
+                          ndmin=1, dtype=dtype,
+                          converters={header.index("process"): names.__getitem__})
     return rows, list(names)
 
 

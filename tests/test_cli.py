@@ -59,8 +59,11 @@ def test_validate_non_integer_initial_state(chain3, tmp_path, capsys):
 @pytest.mark.parametrize("change, message", [
     (lambda doc: doc.update(comment="extra"), "unknown model fields: ['comment']"),
     (lambda doc: doc["cims"]["B"][0].pop(), "inhomogeneous shape"),  # a ragged CIM
-    (lambda doc: doc["processes"][0].update(cardinality="two"), "invalid literal for int()"),
-], ids=["unknown-field", "ragged-cim", "cardinality"])
+    (lambda doc: doc["processes"][0].update(cardinality="two"),
+     "process 'A': cardinality 'two' is not an integer"),
+    (lambda doc: doc["processes"][0].update(cardinality=2.9),  # was truncated to 2
+     "process 'A': cardinality 2.9 is not an integer"),
+], ids=["unknown-field", "ragged-cim", "cardinality", "fractional-cardinality"])
 def test_unreadable_model_file(change, message, chain3, tmp_path, capsys):
     doc = model_to_json_dict(chain3)
     change(doc)

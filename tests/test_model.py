@@ -276,7 +276,7 @@ def test_states_from_indices_rejects_non_integers():
             states_from_indices(index, (2, 2, 2))
     with pytest.raises(ValueError, match="state index 2.7 is not an integer"):
         StateSpaceGraph((2, 2, 2)).neighbors(2.7)
-    with pytest.raises(ValueError, match="state index x is not an integer"):
+    with pytest.raises(ValueError, match="state index 'x' is not an integer"):
         states_from_indices([1, "x", 1 << 70], (2, 2, 2))
     assert states_from_indices(np.empty(0), (2, 2, 2)).shape == (0, 3)
 
@@ -359,6 +359,24 @@ def test_states_from_indices_accepts_every_integer_dtype(dtype):
 def test_state_bits_joins_multi_digit_states():
     assert state_bits(np.array([[0, 11, 2], [10, 0, 1]])) == ["0112", "1001"]
     assert state_bits(np.zeros((0, 3), dtype=np.int64)) == []
+
+
+def test_state_bits_digit_path_matches_template():
+    # rows of local states 0 to 9 take the digit view; any other value, the template
+    rng = np.random.default_rng(18)
+    for dtype in (np.int64, np.int16, np.uint8):
+        for n in (1, 3, 8, 33):
+            states = rng.integers(0, 10, (50, n)).astype(dtype)
+            template = "%d" * n
+            want = [template % tuple(row) for row in states.tolist()]
+            assert state_bits(states) == want
+            assert state_bits(np.asfortranarray(states)) == want
+            assert state_bits(states[::-2]) == want[::-2]
+    wide = rng.integers(0, 14, (50, 4))
+    wide[0, 2] = 13
+    assert state_bits(wide) == ["".join(map(str, row)) for row in wide.tolist()]
+    assert state_bits(np.array([[0, -1, 2]])) == ["0-12"]
+    assert state_bits(np.zeros((4, 0), dtype=np.int64)) == [""] * 4
 
 
 # -- local rates ---------------------------------------------------------------
@@ -743,6 +761,28 @@ def test_model_json_rejects_unknown_fields(chain3, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="unknown model fields"):
         load_model(path)
+
+
+def test_model_json_rejects_non_integer_cardinality(chain3):
+    # int() truncated 2.9 to 2, and nothing reported it
+    doc = model_to_json_dict(chain3)
+    for value, text in ((2.9, "2.9"), ("2", "'2'"), (2.0, "2.0")):
+        doc["processes"][1]["cardinality"] = value
+        with pytest.raises(ValueError,
+                           match=f"^process 'B': cardinality {text} is not an integer$"):
+            model_from_json_dict(doc)
+    doc["processes"][1]["cardinality"] = 2
+    assert model_from_json_dict(doc).cardinalities == (2, 2, 2)
+
+
+def test_integer_check_names_strings_by_repr(chain3):
+    # a string read like the number it spells: "1" was reported as local state 1
+    doc = model_to_json_dict(chain3)
+    doc["initial_state"] = [0, "1", 0]
+    assert [v.message for v in validate_model(model_from_json_dict(doc))] == [
+        "initial state: local state '1' is not an integer"]
+    with pytest.raises(ValueError, match="^local state 2.7 is not an integer$"):
+        state_index((0, np.float64(2.7), "x"), chain3)  # a number keeps its plain text
 
 
 def test_ctbn_graph_and_dot(chain3):

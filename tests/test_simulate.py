@@ -299,6 +299,43 @@ def test_ensemble_csv_round_trip(chain3, tmp_path):
         assert a.initial_state == b.initial_state
 
 
+UNUSUAL_NAMES = ["a,b", 'q"x', " lead", "naïve"]  # quoted, quoted, a leading space, not ASCII
+
+
+def test_csv_round_trip_with_unusual_names(tmp_path):
+    ensemble = sample_ensemble(chain_model(4), None, SimulationConfig(8.0, 5, 18))
+    path, lf = tmp_path / "all.csv", tmp_path / "lf.csv"
+    write_ensemble_csv(ensemble, path, UNUSUAL_NAMES)
+    assert b'"a,b"' in path.read_bytes() and b'"q""x"' in path.read_bytes()
+    lf.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+    for source in (path, lf):
+        loaded, names = read_ensemble_csv(source, t_end=8.0)
+        assert names == UNUSUAL_NAMES
+        assert np.array_equal(loaded.offsets, ensemble.offsets)
+        assert np.array_equal(loaded.times, ensemble.times)  # bit-equal
+        assert np.array_equal(loaded.processes, ensemble.processes)
+        assert np.array_equal(loaded.new_states, ensemble.new_states)
+        assert np.array_equal(loaded.initial_states, ensemble.initial_states)
+    write_trajectory_csv(ensemble[2], path, UNUSUAL_NAMES)
+    lf.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+    for source in (path, lf):
+        loaded, names = read_trajectory_csv(source, t_end=8.0)
+        assert names == UNUSUAL_NAMES
+        assert loaded.initial_state == ensemble[2].initial_state
+        assert np.array_equal(loaded.times, ensemble[2].times)
+        assert np.array_equal(loaded.processes, ensemble[2].processes)
+
+
+def test_header_only_csv_reads_empty(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("trajectory_id,time,process,state\r\n")
+    ensemble, names = read_ensemble_csv(path)
+    assert (len(ensemble), ensemble.event_count, names) == (0, 0, [])
+    path.write_text("time,process,state\n")
+    trajectory, names = read_trajectory_csv(path)
+    assert (trajectory.initial_state, trajectory.event_count, names) == ((), 0, [])
+
+
 def test_read_ensemble_csv_requires_every_initial_row(tmp_path):
     path = tmp_path / "gap.csv"
     path.write_text("trajectory_id,time,process,state\n0,0.0,A,0\n0,0.0,B,0\n"
@@ -406,6 +443,50 @@ def test_trajectory_writers_match_row_writers(part_events, monkeypatch, tmp_path
     write_ensemble_csv(ensemble, new, model.names)
     reference_write_ensemble_csv(ensemble, old, model.names)
     assert new.read_bytes() == old.read_bytes()
+
+
+def reference_write_table(path, header, chunks):
+    """csv.writer row by row, floats by format_float and rows of local states
+    by their digits: the writer the row template replaced."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for columns in chunks:
+            for row in zip(*(np.asarray(c).tolist() for c in columns)):
+                w.writerow([format_float(v) if isinstance(v, float)
+                            else "".join(map(str, v)) if isinstance(v, list) else v
+                            for v in row])
+
+
+@pytest.mark.parametrize("part_events", [3, 1 << 16])
+def test_write_table_matches_csv_writer(part_events, monkeypatch, tmp_path):
+    monkeypatch.setattr(simulate_module, "_PART_EVENTS", part_events)
+    rng = np.random.default_rng(part_events)
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, -1e300, 0.1, 1 / 3]
+    int64 = np.iinfo(np.int64)
+    names = UNUSUAL_NAMES + ["", "plain"]
+
+    def chunk(rows, high, width):
+        floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        floats[:len(special)] = special[:rows]
+        ints = rng.integers(int64.min, int64.max, rows, endpoint=True)
+        ints[:2] = [int64.min, int64.max][:rows]
+        return [floats, ints, rng.integers(0, 2, rows).astype(bool),
+                rng.integers(0, high, (rows, width)), np.array(names)[rng.integers(0, 6, rows)],
+                rng.integers(0, 100, rows).astype(np.uint8).tolist()]
+
+    # local states up to 13 take the template, up to 9 the digit view
+    chunks = [chunk(11, 14, 3), chunk(10, 10, 5), chunk(0, 10, 2), chunk(7, 2, 0),
+              chunk(1, 10, 40)]
+    header = ["f", "i", "b", "state", 'the "name"', "listed"]
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    reference_write_table(old, header, chunks)
+    for columns in chunks:  # the caller quotes strings
+        columns[4] = np.array([simulate_module._csv_field(v) for v in columns[4].tolist()])
+    simulate_module._write_table(new, header, chunks)
+    assert new.read_bytes() == old.read_bytes()
+    with open(new, newline="") as fh:
+        assert len(list(csv.reader(fh))) == 1 + 11 + 10 + 7 + 1
 
 
 def test_ensemble_views_and_slices(chain3):
