@@ -18,7 +18,7 @@ import numpy as np
 
 from .model import CtbnModel, build_state_space_graph, states_from_indices
 from .sentry import RedntRanking, ednt_exact, rank_sentry_states, rednt
-from .simulate import Ensemble, Trajectory, _parts, _write_table
+from .simulate import Ensemble, Trajectory, _gaps, _parts, _write_table
 
 
 @dataclass(frozen=True)
@@ -49,19 +49,11 @@ class CascadeWindow:
         return self.last_event_index - self.first_event_index + 1
 
 
-def _gaps(ensemble: Ensemble) -> np.ndarray:
-    """The gap before every event; NaN before a member's first event, which
-    has no predecessor."""
-    gaps = np.diff(ensemble.times, prepend=np.nan)
-    heads = ensemble.offsets[:-1]
-    gaps[heads[heads < gaps.size]] = np.nan
-    return gaps
-
-
 def _fast_runs(ensemble: Ensemble, params: NaiveParams) -> tuple[np.ndarray, np.ndarray]:
     """First and last event (ensemble event indices) of every cascade: the
     maximal runs of consecutive fast events meeting the length minimum."""
-    fast = np.concatenate(([False], _gaps(ensemble) < params.fast_threshold, [False]))
+    gaps = _gaps(ensemble.times, ensemble.offsets)
+    fast = np.concatenate(([False], gaps < params.fast_threshold, [False]))
     edges = np.diff(fast.view(np.int8))
     first, end = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
     keep = end - first >= params.min_cascade_length
@@ -219,7 +211,8 @@ def default_fast_threshold(trajectories: Ensemble | Iterable[Trajectory]) -> flo
     When no trajectory has two events there is no gap, so no event of the
     data can be fast at any threshold: the result is then ``math.inf``.
     """
-    gaps = _gaps(Ensemble.from_trajectories(trajectories))
+    ensemble = Ensemble.from_trajectories(trajectories)
+    gaps = _gaps(ensemble.times, ensemble.offsets)
     gaps = gaps[~np.isnan(gaps)]
     return float(np.median(gaps)) if gaps.size else math.inf
 

@@ -136,14 +136,7 @@ def cmd_sentry(args) -> int:
 
 
 def cmd_cascades(args) -> int:
-    with open(args.trajectories) as fh:
-        header = fh.readline().strip()
-    if header.startswith("trajectory_id"):
-        trajectories, _names = _sim.read_ensemble_csv(args.trajectories)
-    else:
-        traj, _names = _sim.read_trajectory_csv(args.trajectories)
-        trajectories = [traj]
-
+    trajectories, _names = _sim.read_ensemble_csv(args.trajectories)
     threshold = args.fast_threshold
     if threshold is None:
         threshold = _cascade.default_fast_threshold(trajectories)
@@ -310,7 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     """Fold the values of a --config file in as the command's flag defaults: as
     text, which the flag's type checks; an on/off flag takes only a boolean.
-    A key that no flag of the command takes is a usage error."""
+    A key that no flag of the command takes is a usage error.  A flag on the
+    command line drops the values of every flag in its mutually exclusive
+    group, unread."""
     probe = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     probe.add_argument("--config")
     probe.add_argument("command", nargs="?")
@@ -329,10 +324,16 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
         return
     flags = {flag.dest: flag for flag in command._actions
              if flag.option_strings and not isinstance(flag, argparse._HelpAction)}
+    given = {arg.split("=", 1)[0] for arg in argv if arg.startswith("--")}
+    dropped = {flag.dest for group in command._mutually_exclusive_groups
+               if any(given.intersection(f.option_strings) for f in group._group_actions)
+               for flag in group._group_actions}
     for key, value in values.items():
         flag = flags.get(key.replace("-", "_"))
         if flag is None:
             command.error(f"config key {key!r} is not a flag of {known.command}")
+        if flag.dest in dropped:
+            continue
         if not isinstance(flag, argparse._StoreTrueAction):
             value = str(value)
         elif not isinstance(value, bool):

@@ -380,13 +380,9 @@ def nonadjacent_scc_independence(g: DiGraph, block_a: str | Iterable[str],
     name_a, name_b = resolve(block_a), resolve(block_b)
     if name_a == name_b:
         raise ValueError("blocks must be distinct")
-    nodes_a, nodes_b = cond.blocks[name_a], cond.blocks[name_b]
-    for u, v in g.edges:
-        if (u in nodes_a and v in nodes_b) or (u in nodes_b and v in nodes_a):
-            raise ValueError(
-                f"components {name_a!r} and {name_b!r} are adjacent; no certificate")
-
-    bg = cond.graph
+    bg = cond.graph  # an edge of g between two components is an edge between their blocks
+    if name_b in bg.parents_of(name_a) | bg.children_of(name_a):
+        raise ValueError(f"components {name_a!r} and {name_b!r} are adjacent; no certificate")
     desc_a = descendants(bg, [name_a])
     desc_b = descendants(bg, [name_b])
     options = []
@@ -402,6 +398,7 @@ def nonadjacent_scc_independence(g: DiGraph, block_a: str | Iterable[str],
     options.sort(key=lambda item: (len(cond.unroll(item[0])), item[1] != "b"))
     sep_blocks = options[0][0]
     sep_nodes = cond.unroll(sep_blocks)
+    nodes_a, nodes_b = cond.blocks[name_a], cond.blocks[name_b]
     cert = ctbn_independent(g, nodes_a, nodes_b, sep_nodes)
     return SccIndependenceCertificate(
         block_a=name_a, block_b=name_b,

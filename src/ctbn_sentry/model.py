@@ -171,11 +171,6 @@ class CtbnModel:
         require_valid(self)
         return _rate_table(self)
 
-    def process_index(self, process: int | str) -> int:
-        if isinstance(process, str):
-            return self.name_to_index[process]
-        return int(process)
-
 
 @dataclass(frozen=True, eq=False)
 class RateTable:
@@ -547,7 +542,7 @@ def local_rate(model: CtbnModel, process: int | str, state: Sequence[int]) -> np
     The row is selected by the parent configuration read off ``state`` and
     the process's own current local state.
     """
-    j = model.process_index(process)
+    j = model.name_to_index[process] if isinstance(process, str) else int(process)
     parents = model.parent_indices[j]
     cfg = state_indices([state[p] for p in parents], [model.cardinalities[p] for p in parents])
     return model.cims[j].matrices[cfg][int(state[j])]
@@ -571,15 +566,14 @@ def intensity_matrix(model: CtbnModel) -> sp.csr_matrix:
     return (off - sp.diags(rates.sum(axis=1))).tocsr()
 
 
-def amalgamate(model: CtbnModel, max_states: int = DEFAULT_STATE_CAP) -> np.ndarray:
+def amalgamate(model: CtbnModel) -> np.ndarray:
     """Dense, read-only copy of :func:`intensity_matrix`.
 
     For small models and tests; the analysis itself works on the sparse
     matrix.  Raises :class:`StateSpaceCapError` before allocating when the
-    model has more than `max_states` states or the S x S float64 array would
-    exceed ``DENSE_BYTES_CAP`` bytes.
+    S x S float64 array would exceed ``DENSE_BYTES_CAP`` bytes.
     """
-    build_state_space_graph(model, max_states)
+    build_state_space_graph(model)  # validates
     n = model.state_count
     nbytes = n * n * np.dtype(float).itemsize
     if nbytes > DENSE_BYTES_CAP:
@@ -631,9 +625,6 @@ class StateSpaceGraph:
     @property
     def degree(self) -> int:
         return sum(c - 1 for c in self.cardinalities)
-
-    def state_of(self, index: int) -> tuple[int, ...]:
-        return state_from_index(index, self)
 
     def neighbor_table(self, indices) -> np.ndarray:
         """Neighbors of many states at once: shape ``indices.shape + (degree,)``.
@@ -806,11 +797,7 @@ def model_from_json_dict(doc: dict) -> CtbnModel:
                     tuple(p.get("parents", ())))
         for p in doc["processes"]
     )
-    raw_cims = doc["cims"]
-    if isinstance(raw_cims, dict):
-        cims = tuple(Cim(np.asarray(raw_cims[p.name], dtype=float)) for p in processes)
-    else:  # accept a list aligned with the process order
-        cims = tuple(Cim(np.asarray(c, dtype=float)) for c in raw_cims)
+    cims = tuple(Cim(np.asarray(doc["cims"][p.name], dtype=float)) for p in processes)
     initial_state = doc.get("initial_state")
     initial_distribution = doc.get("initial_distribution")
     return CtbnModel(

@@ -90,18 +90,23 @@ def derive_seed(master_seed: int, *indices: int) -> int:
     return s
 
 
+def _gaps(times: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The gap before every event; NaN before a member's first event (event
+    ``offsets[k]``), which has no predecessor."""
+    gaps = np.diff(times, prepend=np.nan)
+    heads = offsets[:-1]
+    gaps[heads[heads < gaps.size]] = np.nan
+    return gaps
+
+
 def _check_times(times: np.ndarray, offsets: np.ndarray, t_end: float) -> None:
     """The one rule for event times: the events of each member (those from
     ``offsets[k]`` on) are finite, positive, strictly increasing and at most
     ``t_end``."""
-    if not times.size:
-        return
-    gaps = np.diff(times, prepend=0.0)
-    heads = offsets[:-1][offsets[:-1] < times.size]
-    gaps[heads] = times[heads]  # a member's first event follows time 0
-    if not np.isfinite(times).all() or (gaps <= 0).any():
+    # every gap and every time positive; the NaN gap before a first event compares false
+    if not np.isfinite(times).all() or (_gaps(times, offsets) <= 0).any() or (times <= 0).any():
         raise ValueError("event times must be finite, positive and strictly increasing")
-    if times.max() > t_end:
+    if times.max(initial=-np.inf) > t_end:
         raise ValueError("event beyond t_end")
 
 
@@ -506,43 +511,46 @@ def write_ensemble_csv(trajectories: Iterable[Trajectory], path,
                  _trajectory_rows(Ensemble.from_trajectories(trajectories), process_names))
 
 
-def _read_columns(path, header: list[str]) -> tuple[np.ndarray, list[str]]:
-    """Parse a CSV whose header starts with `header` column by column: the
-    header by ``csv.reader``, the rows by ``np.loadtxt``.
+def _read_columns(path) -> tuple[np.ndarray, list[str]]:
+    """Parse a trajectory CSV column by column: the header by ``csv.reader``,
+    the rows by ``np.loadtxt``.  The header is ``time,process,state``, with
+    or without a leading ``trajectory_id`` column.
 
     Returns a structured array with one field per column, the process column
     holding codes into the returned list of process names (in order of first
     appearance).
     """
     names = collections.defaultdict(itertools.count().__next__)  # code by first appearance
-    dtype = [(h, "f8" if h == "time" else "i8") for h in header]
     with open(path) as fh:
         found = next(csv.reader(fh), [])
+    # a header that starts with "trajectory_id" is checked against the id layout
+    ids = bool(found) and found[0].lstrip().startswith("trajectory_id")
+    header = ["trajectory_id", "time", "process", "state"][0 if ids else 1:]
     if found[:len(header)] != header:
         raise ValueError(f"unexpected CSV header {found}, expected {header}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # a header alone holds no rows
         rows = np.loadtxt(path, skiprows=1, delimiter=",", quotechar='"', comments=None,
-                          ndmin=1, dtype=dtype,
+                          ndmin=1, dtype=[(h, "f8" if h == "time" else "i8") for h in header],
                           converters={header.index("process"): names.__getitem__})
     return rows, list(names)
 
 
-def _to_ensemble(members: np.ndarray, rows: np.ndarray, names: list[str],
+def _to_ensemble(ids: np.ndarray, member: np.ndarray, rows: np.ndarray, names: list[str],
                  t_end: float | None, where) -> tuple[Ensemble, list[str]]:
-    """Build an ensemble from parsed CSV rows (see :func:`_read_columns`),
-    member ids given per row.
+    """Build an ensemble from parsed CSV rows (see :func:`_read_columns`):
+    members `ids`, row r belonging to member ``member[r]``.
 
-    Rows at time 0.0 declare initial states, the others are events.  Members
-    are ordered by id, rows within a member keep their file order, and the
-    process order is that of the first member's time-0 rows.  ``where(id)``
-    names a member in error messages.
+    Rows at time 0.0 declare initial states, the others are events.  Rows
+    within a member keep their file order, and the process order is that of
+    the first member's time-0 rows.  ``where(id)`` names a member in error
+    messages.
     """
-    order = np.argsort(members, kind="stable")
-    members, times, code, local = (a[order] for a in (members, rows["time"], rows["process"],
-                                                      rows["state"]))
+    order = np.argsort(member, kind="stable")
+    member, times, code, local = (a[order] for a in (member, rows["time"], rows["process"],
+                                                     rows["state"]))
     zero = times == 0.0
-    first = list(dict.fromkeys(code[zero & (members == members[:1])].tolist()))
+    first = list(dict.fromkeys(code[zero & (member == 0)].tolist()))
     declared = [names[c] for c in first]
     process = np.full(len(names), -1, dtype=np.int64)
     process[first] = np.arange(len(first))
@@ -551,9 +559,8 @@ def _to_ensemble(members: np.ndarray, rows: np.ndarray, names: list[str],
     if undeclared.size:
         row = undeclared[0]
         raise ValueError(
-            f"process {names[code[row]]!r} in {where(members[row])} is not declared "
+            f"process {names[code[row]]!r} in {where(ids[member[row]])} is not declared "
             f"by a time-0 row (declared: {', '.join(declared)})")
-    ids, member = np.unique(members, return_inverse=True)
     if ((local < 0) | (local > np.iinfo(np.int16).max)).any():
         raise ValueError(f"local states must be in [0, {np.iinfo(np.int16).max}]")
     initial = np.zeros((ids.size, len(declared)), dtype=np.int64)
@@ -570,26 +577,26 @@ def _to_ensemble(members: np.ndarray, rows: np.ndarray, names: list[str],
                     end, ids), declared
 
 
-def read_trajectory_csv(path, t_end: float | None = None) -> tuple[Trajectory, list[str]]:
-    """Load a single-trajectory CSV; returns (trajectory, process name order).
-
-    Process order is taken from the time-0.0 initial rows.  ``t_end``
-    defaults to the last event time (the CSV does not carry the horizon).
-    """
-    rows, names = _read_columns(path, ["time", "process", "state"])
-    ensemble, declared = _to_ensemble(np.zeros(rows.size, dtype=np.int64), rows, names,
-                                      t_end, lambda k: str(path))
-    if not len(ensemble):  # a header alone: no process, no event
-        return Trajectory((), [], [], [], ensemble.t_end), declared
-    return ensemble[0], declared
-
-
 def read_ensemble_csv(path, t_end: float | None = None) -> tuple[Ensemble, list[str]]:
-    """Load a concatenated ensemble CSV; returns (ensemble, process names).
+    """Load a trajectory CSV; returns (ensemble, process names).
 
-    Members are ordered by trajectory id and keep it as their id; ``t_end``
-    defaults to the last event time in the file.
+    With a ``trajectory_id`` column, members are ordered by trajectory id and
+    keep it as their id.  Without it the file is one member with id 0 (a
+    header alone: one member with no process).  ``t_end`` defaults to the
+    last event time in the file (the CSV does not carry the horizon).
     """
-    rows, names = _read_columns(path, ["trajectory_id", "time", "process", "state"])
-    return _to_ensemble(rows["trajectory_id"], rows, names, t_end,
-                        lambda k: f"trajectory {k}")
+    rows, names = _read_columns(path)
+    if "trajectory_id" in rows.dtype.names:
+        ids, member = np.unique(rows["trajectory_id"], return_inverse=True)
+        return _to_ensemble(ids, member, rows, names, t_end, lambda k: f"trajectory {k}")
+    return _to_ensemble(np.zeros(1, dtype=np.int64), np.zeros(rows.size, dtype=np.int64),
+                        rows, names, t_end, lambda k: str(path))
+
+
+def read_trajectory_csv(path, t_end: float | None = None) -> tuple[Trajectory, list[str]]:
+    """Load a CSV of one trajectory, in either layout of
+    :func:`read_ensemble_csv`; returns (trajectory, process name order)."""
+    ensemble, names = read_ensemble_csv(path, t_end)
+    if len(ensemble) != 1:
+        raise ValueError(f"{path} holds {len(ensemble)} trajectories, expected one")
+    return ensemble[0], names

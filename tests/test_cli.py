@@ -75,6 +75,18 @@ def test_unreadable_model_file(change, message, chain3, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_list_form_cims_is_unreadable(chain3, tmp_path, capsys):
+    # cims map each process name to its CIMs; a list in process order is not read
+    doc = model_to_json_dict(chain3)
+    doc["cims"] = [doc["cims"][name] for name in chain3.names]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read model {str(path)!r}: ")
+    assert err.count("\n") == 1
+
+
 def test_validate_bad_row_sum(chain3_path, tmp_path, capsys):
     doc = json.loads(Path(chain3_path).read_text())
     doc["cims"]["A"][0][0] = [-0.5, 1.0]
@@ -293,6 +305,30 @@ def test_config_boolean_and_flag_precedence(chain3_path, tmp_path):
     assert out.read_bytes() == (GOLDEN / "sentry_chain3_exact.csv").read_bytes()
 
 
+@pytest.mark.parametrize("values, flags", [
+    ({"fast-threshold": 0.1}, ["--auto-threshold"]),
+    ({"auto-threshold": True}, ["--fast-threshold", "2"]),
+    ({"auto-threshold": True}, ["--fast-threshold=2"]),
+    ({"fast-threshold": "abc"}, ["--auto-threshold"]),  # dropped, so never parsed
+    ({"auto-threshold": "yes"}, ["--fast-threshold=2"]),
+], ids=["number-then-auto", "auto-then-number", "equals-form", "bad-number",
+        "bad-boolean"])
+def test_config_value_yields_to_a_flag_of_its_group(values, flags, tmp_path, capsys):
+    # a command-line flag beats the config values of its mutually exclusive group
+    log = tmp_path / "log.csv"
+    log.write_text("time,process,state\n0.0,A,0\n0.0,B,0\n1.0,A,1\n1.5,B,1\n"
+                   "4.0,A,0\n4.1,B,0\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    out_c, out_s = tmp_path / "c.csv", tmp_path / "s.csv"
+    argv = ["cascades", str(log), *flags, "--out-cascades", str(out_c),
+            "--out-scores", str(out_s)]
+    assert run(argv) == 0
+    want = capsys.readouterr().out, out_c.read_bytes(), out_s.read_bytes()
+    assert run(["--config", str(config), *argv]) == 0
+    assert (capsys.readouterr().out, out_c.read_bytes(), out_s.read_bytes()) == want
+
+
 # -- cascades ----------------------------------------------------------------------
 
 
@@ -363,6 +399,33 @@ def test_cascades_bad_trajectory_csv(tmp_path, capsys, text, message):
                 "--out-cascades", str(tmp_path / "c.csv"),
                 "--out-scores", str(tmp_path / "s.csv")]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message.format(path=log)}"]
+
+
+def test_cascades_reads_one_log_in_either_layout(chain3_path, tmp_path):
+    # one trajectory written without and with its trajectory_id column (id 0)
+    common = [chain3_path, "--t-end", "60", "--seed", "5"]
+    assert run(["simulate", *common, "--out", str(tmp_path / "one")]) == 0
+    assert run(["simulate", *common, "--single-file", "--out", str(tmp_path / "ids.csv")]) == 0
+    reports = []
+    for log in (tmp_path / "one" / "trajectory_00000.csv", tmp_path / "ids.csv"):
+        out_c, out_s = tmp_path / "c.csv", tmp_path / "s.csv"
+        assert run(["cascades", str(log), "--auto-threshold", "--out-cascades", str(out_c),
+                    "--out-scores", str(out_s)]) == 0
+        reports.append((out_c.read_bytes(), out_s.read_bytes()))
+    assert reports[0] == reports[1]
+    assert len(reports[0][0].splitlines()) > 2  # cascades found in member 0
+
+
+def test_cascades_header_only_log(tmp_path):
+    # no row: one member with no process, visited once in the empty state
+    log = tmp_path / "log.csv"
+    log.write_text("time,process,state\n")
+    out_c, out_s = tmp_path / "c.csv", tmp_path / "s.csv"
+    assert run(["cascades", str(log), "--fast-threshold", "1",
+                "--out-cascades", str(out_c), "--out-scores", str(out_s)]) == 0
+    assert len(out_c.read_text().splitlines()) == 1
+    assert out_s.read_text().splitlines() == [
+        "state_bits,naive_count,naive_score,visits,active_alarms", ",0,0,1,0"]
 
 
 def test_cascades_min_length_usage_error(tmp_path):

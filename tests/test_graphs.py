@@ -429,6 +429,12 @@ def test_nonadjacent_scc_rejects_adjacent():
         nonadjacent_scc_independence(six_process_graph(), {"A", "B", "C"}, "D")
 
 
+def test_nonadjacent_scc_rejects_adjacent_in_either_order():
+    # the edge C -> D leaves the first block: found from either end
+    with pytest.raises(ValueError, match="are adjacent"):
+        nonadjacent_scc_independence(six_process_graph(), "D", {"A", "B", "C"})
+
+
 def test_nonadjacent_scc_prefers_smaller_side():
     # x -> a, y1..y3 -> b: conditioning on {x} beats conditioning on {y1..y3}
     g = DiGraph(("x", "a", "y1", "y2", "y3", "b"),

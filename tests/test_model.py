@@ -208,7 +208,7 @@ def test_state_index_out_of_range():
         with pytest.raises(ValueError, match="out of range"):
             state_from_index(index, m)
         with pytest.raises(ValueError, match="out of range"):
-            gs.state_of(index)
+            state_from_index(index, gs)
 
 
 def test_enumerate_then_index_is_identity(chain3):
@@ -229,7 +229,7 @@ def test_index_bijection_random_cardinalities(cards):
     seen = set()
     for i, state in enumerate(enumerate_states(m)):
         assert state_index(state, m) == i
-        assert state_from_index(i, m) == gs.state_of(i) == state
+        assert state_from_index(i, m) == state_from_index(i, gs) == state
         seen.add(state)
     assert len(seen) == m.state_count
 
@@ -287,7 +287,7 @@ def test_scalar_codec_rejects_non_integers(chain3):
     with pytest.raises(ValueError, match="^state index 2.7 is not an integer$"):
         state_from_index(2.7, chain3)
     with pytest.raises(ValueError, match="^state index 2.7 is not an integer$"):
-        StateSpaceGraph((2, 2, 2)).state_of(2.7)
+        state_from_index(2.7, StateSpaceGraph((2, 2, 2)))
     with pytest.raises(ValueError, match="^local state 1.5 is not an integer$"):
         state_index((0, 1.5, 0), chain3)
     with pytest.raises(ValueError, match="^local state 2.0 is not an integer$"):
@@ -527,12 +527,6 @@ def test_amalgamate_zero_between_distant_states():
             hamming = sum(a != b for a, b in zip(x, y))
             if hamming >= 2:
                 assert Q[i, k] == 0.0
-
-
-def test_amalgamate_cap():
-    m = binary3()
-    with pytest.raises(StateSpaceCapError):
-        amalgamate(m, max_states=4)
 
 
 def test_amalgamate_byte_cap_checked_before_allocating():

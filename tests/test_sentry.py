@@ -783,7 +783,7 @@ def _reference_sentry_report(path, ednt, ranking):
         w = csv.writer(fh)
         w.writerow(["state_bits", "ednt", "ednt_stderr", "rednt", "active_alarms"])
         for idx in ranking.order:
-            state = gs.state_of(idx)
+            state = state_from_index(idx, gs)
             w.writerow(["".join(str(v) for v in state), format_float(values[idx]),
                         format_float(errors[idx]), format_float(relative[idx]),
                         active_alarm_count(state)])

@@ -336,6 +336,22 @@ def test_header_only_csv_reads_empty(tmp_path):
     assert (trajectory.initial_state, trajectory.event_count, names) == ((), 0, [])
 
 
+def test_read_trajectory_csv_takes_one_member_of_either_layout(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_text("time,process,state\n0.0,A,1\n0.0,B,0\n2.5,B,1\n")
+    ensemble, names = read_ensemble_csv(path)  # no id column: one member, id 0
+    assert (ensemble.ids.tolist(), names, ensemble.t_end) == ([0], ["A", "B"], 2.5)
+    assert ensemble.initial_states.tolist() == [[1, 0]]
+    path.write_text("trajectory_id,time,process,state\n4,0.0,A,0\n4,1.5,A,1\n")
+    trajectory, names = read_trajectory_csv(path)
+    assert (trajectory.initial_state, trajectory.times.tolist(), names) == ((0,), [1.5], ["A"])
+    for text, count in (("trajectory_id,time,process,state\n0,0.0,A,0\n1,0.0,A,1\n", 2),
+                        ("trajectory_id,time,process,state\n", 0)):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"holds {count} trajectories, expected one"):
+            read_trajectory_csv(path)
+
+
 def test_read_ensemble_csv_requires_every_initial_row(tmp_path):
     path = tmp_path / "gap.csv"
     path.write_text("trajectory_id,time,process,state\n0,0.0,A,0\n0,0.0,B,0\n"
