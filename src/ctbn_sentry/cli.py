@@ -305,7 +305,9 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     text, which the flag's type checks; an on/off flag takes only a boolean.
     A key that no flag of the command takes is a usage error.  A flag on the
     command line drops the values of every flag in its mutually exclusive
-    group, unread."""
+    group, unread.  Otherwise a config value (an on/off flag's true) stands
+    for its flag in the group: it meets the group's requirement, and two of
+    one group conflict as the two flags would."""
     probe = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     probe.add_argument("--config")
     probe.add_argument("command", nargs="?")
@@ -325,9 +327,11 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     flags = {flag.dest: flag for flag in command._actions
              if flag.option_strings and not isinstance(flag, argparse._HelpAction)}
     given = {arg.split("=", 1)[0] for arg in argv if arg.startswith("--")}
-    dropped = {flag.dest for group in command._mutually_exclusive_groups
+    groups = command._mutually_exclusive_groups
+    dropped = {flag.dest for group in groups
                if any(given.intersection(f.option_strings) for f in group._group_actions)
                for flag in group._group_actions}
+    chosen = set()  # the flags the config gives a value or turns on
     for key, value in values.items():
         flag = flags.get(key.replace("-", "_"))
         if flag is None:
@@ -340,6 +344,13 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
             command.error(f"argument {flag.option_strings[0]}: config value must be "
                           f"true or false, got {value!r}")
         command.set_defaults(**{flag.dest: value})
+        if value is not False:
+            chosen.add(flag.dest)
+    for group in groups:
+        names = [f.option_strings[0] for f in group._group_actions if f.dest in chosen]
+        if len(names) > 1:
+            command.error(f"argument {names[1]}: not allowed with argument {names[0]}")
+        group.required &= not names
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -37,8 +37,9 @@ Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 BACKWARD_ERROR_TOL = 1e-14  # componentwise backward error the exact solve must reach
 MAX_REFINEMENTS = 8
 MC_BATCH = 200  # trajectories a state adds per round of the stopping rule
-# Live bytes one Monte Carlo engine call may hold (see simulate._step_bytes):
-# about 2 600 trajectories of a 13-process binary model on the flat path.
+# Live bytes of one Monte Carlo engine run, which sets its width (see
+# simulate._step_bytes): 5 461 trajectories on the flat path, 1 057 of a
+# 13-process binary model on the general path.
 MC_CALL_BYTES = 1 << 20
 
 
@@ -141,22 +142,25 @@ class RedntRanking:
 
 
 def _scores(table: RateTable, keys: np.ndarray, start: np.ndarray, t_end: float,
-            alpha: float, reward: RewardSpec | None) -> np.ndarray:
+            alpha: float, reward: RewardSpec | None, width: int | None = None) -> np.ndarray:
     """Discounted reward of the trajectory with each key from its row of `start`,
-    in one engine run: sum_i e^(-alpha t_i) for `reward` None, else event i adds
-    inst(before) / alpha * (w - e^(-alpha t_i)), w the discount at the event
-    before (1 at t = 0), then e^(-alpha t_i) * lump(before, after), and the last
-    state held adds its discounted occupancy up to ``t_end``."""
+    in one engine run at most `width` wide: sum_i e^(-alpha t_i) for `reward`
+    None, else event i adds inst(before) / alpha * (w - e^(-alpha t_i)), w the
+    discount at the event before (1 at t = 0), then e^(-alpha t_i) *
+    lump(before, after), and the last state held adds its discounted occupancy
+    up to ``t_end``.  Each trajectory's terms are added in event order, so its
+    score does not depend on `width`; a general reward holds every
+    trajectory's state tuple for the whole run."""
     scores = np.zeros(keys.size)
     if reward is None:
-        for live, t, _, _ in _steps(table, keys, start, t_end):
+        for live, t, _, _ in _steps(table, keys, start, t_end, width):
             scores[live] += np.exp(-alpha * t)
         return scores
     lump = reward.lump_sum or (lambda x, y: 1.0)
     inst = reward.instantaneous  # None: no holding-rate terms at all
     states = list(map(tuple, start.tolist()))  # each trajectory's current state
     weight = np.ones(keys.size)  # e^(-alpha t) at each trajectory's last event
-    for live, t, j, s in _steps(table, keys, start, t_end):
+    for live, t, j, s in _steps(table, keys, start, t_end, width):
         now = np.exp(-alpha * t)
         members = live.tolist()
         before = [states[k] for k in members]
@@ -198,9 +202,9 @@ def ednt_mc(model: CtbnModel, alpha: float, config: SimulationConfig,
     A state is a tuple of local states or an integer joint index.  The
     stopping rule of :func:`stopping_rule_ednt` runs for all states at once,
     in rounds: every state still running adds its next batch of
-    ``MC_BATCH`` trajectories, the round's trajectories run in engine calls
-    of at most ``MC_CALL_BYTES`` live bytes (a batch may span calls), then
-    each state checks its half-width and its cap of
+    ``MC_BATCH`` trajectories, the round's trajectories run in one engine
+    run of at most ``MC_CALL_BYTES`` live bytes, refilled as trajectories
+    finish, then each state checks its half-width and its cap of
     ``config.trajectory_count``.  ``epsilon`` is the relative half-width
     (None spends the cap in one batch).  Trajectory k from state
     x is keyed by derive_seed(config.master_seed, state_index(x), k), so the
@@ -342,8 +346,8 @@ def stopping_rule_ednt(model: CtbnModel, initial: Sequence[int], alpha: float,
     spent, whichever comes first; with ``relative_halfwidth`` None it spends
     exactly `cap` in one batch.  Trajectory k is seeded with
     derive_seed(seed, state_index(initial), k).  This is the round loop of
-    :func:`ednt_mc` for one state: a batch larger than ``MC_CALL_BYTES``
-    allows runs in several engine calls, with the same scores.
+    :func:`ednt_mc` for one state: a batch wider than ``MC_CALL_BYTES``
+    allows waits for free slots in its run, with the same scores.
     """
     return _stopping_rule(model, [state_index(initial, model)], alpha, t_end,
                           relative_halfwidth, batch, cap, seed)[0]
@@ -355,15 +359,16 @@ def _stopping_rule(model: CtbnModel, indices: Sequence[int], alpha: float, t_end
     """The stopping rule for every state in `indices` at once, in rounds.
 
     A round takes the next batch of every running state, ``range(done,
-    min(done + batch, cap))`` of its stream, and runs the batches' trajectories
-    through the engine and :func:`_scores` in order, at most ``MC_CALL_BYTES``
-    live bytes (and at least one trajectory) per call; a batch may span calls,
-    as a score does not depend on the call that ran it.  The scores go back to
-    their states, which then apply the half-width and cap tests.  Every
-    reward runs here (None, the default, counts transitions).  Arguments are
-    checked before anything is sampled, even for no state.  The start states
-    are one :func:`states_from_indices` call; the stream bases, and each
-    round's keys, one :func:`_member_keys` call.
+    min(done + batch, cap))`` of its stream, and scores the batches'
+    trajectories in one :func:`_scores` run, ``MC_CALL_BYTES`` of live bytes
+    (and at least one trajectory) wide: a trajectory that finishes gives its
+    slot to the next, and a score does not depend on when its trajectory
+    ran.  The scores go back to their states, which then apply the
+    half-width and cap tests.  Every reward runs here (None, the default,
+    counts transitions).  Arguments are checked before anything is sampled,
+    even for no state.  The start states are one :func:`states_from_indices`
+    call; the stream bases, and each round's keys, one :func:`_member_keys`
+    call.
     """
     _check_rate("alpha", alpha)
     _check_horizon(t_end)
@@ -373,13 +378,15 @@ def _stopping_rule(model: CtbnModel, indices: Sequence[int], alpha: float, t_end
         raise ValueError("relative_halfwidth must be positive")
     if batch < 1 or cap < 1:
         raise ValueError("batch and cap must be >= 1")
-    starts = states_from_indices(indices, model.cardinalities)  # range check
+    # range check; int16 rows, as an ensemble holds local states, keep a pending
+    # trajectory's start small
+    starts = states_from_indices(indices, model.cardinalities).astype(np.int16)
     table = model.rate_table
     reward = None if reward is None or reward.counts_transitions else reward  # None: counts
     # live bytes per trajectory: the engine's, and for a general reward the state
     # before and after its event (two tuples) and about 20 more words
     step = _step_bytes(table) + (0 if reward is None else 8 * (2 * model.process_count + 20))
-    limit = max(1, MC_CALL_BYTES // step)  # trajectories per engine call
+    limit = max(1, MC_CALL_BYTES // step)  # the engine run's width
     bases = _member_keys(derive_seed(seed), indices)  # derive_seed(seed, i) per state
     scores = [np.empty(0) for _ in indices]
     results: list[StoppingResult | None] = [None] * len(indices)
@@ -390,10 +397,8 @@ def _stopping_rule(model: CtbnModel, indices: Sequence[int], alpha: float, t_end
         owner = np.repeat(running, sizes)
         ks = np.concatenate([np.arange(scores[i].size, scores[i].size + size)
                              for i, size in zip(running, sizes)])
-        keys = _member_keys(bases[owner], ks)
-        got = np.concatenate([  # engine calls of at most `limit` trajectories
-            _scores(table, keys[c:c + limit], starts[owner[c:c + limit]], t_end, alpha, reward)
-            for c in range(0, ks.size, limit)])
+        got = _scores(table, _member_keys(bases[owner], ks), starts[owner], t_end, alpha,
+                      reward, limit)
         for i, part in zip(running, np.split(got, np.cumsum(sizes)[:-1])):
             scores[i] = np.concatenate((scores[i], part))
         for i in running:

@@ -16,17 +16,24 @@ row (in a step's order, so bit-equal).  It holds real moves only, no
 diagonal or padding.  It is built once per model, on the first sampling
 step, and only when it fits ``FLAT_TABLE_BYTES``; a larger model takes the
 general path.  Both paths make the same draws and picks, so every
-trajectory is the same on either.  A Monte Carlo engine call holds
-``MC_CALL_BYTES``, counted per trajectory on the path taken
-(:func:`_step_bytes`): flat rows are as wide as the real moves and read for
-survivors only, so a flat call holds 2 to 2.5 times as many trajectories
-of a binary model.
+trajectory is the same on either.  A wide step on either path picks its
+moves by a binary search of the cumulative rates where they lie
+(:func:`_pick`), so it copies no row of the table.
+
+A run may be narrower than its trajectories: at most `width` run at once,
+and each step admits pending trajectories, in key order, into the slots of
+those that finished.  A Monte Carlo round is one such run, ``MC_CALL_BYTES``
+wide, counted per trajectory on the path taken (:func:`_step_bytes`), so it
+stays at full width until its queue drains; a sample runs every trajectory
+at once.
 
 Randomness comes from a counter-based stream: draw c of a trajectory with
 key s is output c of the SplitMix64 generator seeded with s, computed for
 all trajectories at once in uint64 arithmetic (Salmon et al. 2011).  Draw 0
 picks the initial state when it is drawn from the model's distribution;
-event i uses draws 1 + 2i (holding time) and 2 + 2i (transition).
+event i uses draws 1 + 2i (holding time) and 2 + 2i (transition).  A
+running trajectory carries its stream, advanced past the draws it used, so
+its events do not depend on when it was admitted or on what runs beside it.
 
 Reproducibility contract: a trajectory is fully determined by
 (model, initial state, t_end, key).  Ensemble member k has key
@@ -57,6 +64,10 @@ _MASK64 = (1 << 64) - 1
 # Largest FlatTable the engine builds, in bytes: 16 MiB holds a binary model
 # of up to 16 processes.  A larger model samples by the general path.
 FLAT_TABLE_BYTES = 1 << 24
+# Candidates (rows x moves) below which a step copies the survivors' rows to
+# pick a move, 36 KiB with the comparison: fewer numpy calls than a binary
+# search, which wins from about 10 000 candidates on.
+_COPY_ENTRIES = 1 << 12
 
 
 def _splitmix64(z: int) -> int:
@@ -199,13 +210,16 @@ class Ensemble:
                 raise ValueError("an ensemble slice takes consecutive members")
             hi = max(lo, hi)
             a, b = self.offsets[lo], self.offsets[hi]
-            return Ensemble(self.times[a:b], self.processes[a:b], self.new_states[a:b],
-                            self.offsets[lo:hi + 1] - a, self.initial_states[lo:hi],
-                            self.t_end, self.ids[lo:hi])
+            return _checked(Ensemble, times=self.times[a:b], processes=self.processes[a:b],
+                            new_states=self.new_states[a:b],
+                            offsets=self.offsets[lo:hi + 1] - a,
+                            initial_states=self.initial_states[lo:hi], t_end=self.t_end,
+                            ids=self.ids[lo:hi])
         k = range(len(self))[k]
         a, b = self.offsets[k], self.offsets[k + 1]
-        return Trajectory(tuple(self.initial_states[k].tolist()), self.times[a:b],
-                          self.processes[a:b], self.new_states[a:b], self.t_end)
+        return _checked(Trajectory, initial_state=tuple(self.initial_states[k].tolist()),
+                        times=self.times[a:b], processes=self.processes[a:b],
+                        new_states=self.new_states[a:b], t_end=self.t_end)
 
     def __iter__(self) -> Iterator[Trajectory]:
         return map(self.__getitem__, range(len(self)))
@@ -232,11 +246,24 @@ class Ensemble:
         )
 
 
+def _checked(cls, **fields):
+    """A :class:`Trajectory` or :class:`Ensemble` of parts of a checked
+    ensemble, as they are: its arrays were converted and its times checked
+    where they entered (a constructor call, :meth:`Ensemble.from_trajectories`,
+    the sampler or the CSV reader), so a slice or member view is not
+    checked again."""
+    view = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(view, name, value)
+    return view
+
+
 # -- the counter-based stream ----------------------------------------------------
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_TWO_DRAWS = np.uint64(2 * 0x9E3779B97F4A7C15 & _MASK64)  # a stream advanced past two draws
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -252,8 +279,9 @@ def _mix(z: np.ndarray) -> np.ndarray:
 def _stream(keys: np.ndarray, draws: Sequence[int]) -> np.ndarray:
     """Outputs `draws` (counted from 0) of the SplitMix64 generator seeded with
     each key, one row per key: ``_splitmix64(key + draw * GAMMA)`` in wrapping
-    uint64 arithmetic."""
-    return _mix(keys[:, None] + (np.asarray(draws, dtype=np.uint64) + np.uint64(1)) * _GAMMA)
+    uint64 arithmetic.  The rows are a view of one row per draw, so numpy's
+    loops run the length of `keys`."""
+    return _mix((np.asarray(draws, dtype=np.uint64) + np.uint64(1))[:, None] * _GAMMA + keys).T
 
 
 def _uniforms(keys: np.ndarray, draws: Sequence[int]) -> np.ndarray:
@@ -295,63 +323,117 @@ def _flat(table: RateTable) -> bool:
 
 def _step_bytes(table: RateTable) -> int:
     """Bytes :func:`_steps` holds per live trajectory at its peak on the path
-    it takes, measured in the tests; a Monte Carlo engine call runs
-    ``MC_CALL_BYTES`` over this many trajectories.  A flat step holds the
-    survivors' rows of `cum` (a float64 per real move, ``degree = sum(c_j -
-    1)`` of them), their comparison with the target and about 24 vectors.  A
-    general step holds two copies of the gathered rates (processes x CIM
-    width), of the state and of the row indices, and about 20 vectors."""
+    it takes, measured in the tests; a Monte Carlo engine run is
+    ``MC_CALL_BYTES`` over this many trajectories wide.  A flat step holds
+    about 24 vectors: it searches the table's rows where they are, or copies
+    fewer than ``_COPY_ENTRIES`` of their entries (:func:`_pick`), a fixed
+    36 KiB at most, which matters only to a narrow run.  A general step
+    holds two copies of the gathered rates (processes x CIM width), of the
+    state and of the row indices, and about 20 vectors.  A pending
+    trajectory costs the engine nothing beyond its key and start row, which
+    the caller holds."""
     if _flat(table):
-        return 8 * (2 * sum(c - 1 for c in table.cardinalities) + 24)
+        return 8 * 24
     n, width = table.weights.shape[0], table.rates.shape[1]
     return 8 * (2 * n * width + 4 * n + 20)
 
 
-def _steps(table: RateTable, keys: np.ndarray, start: np.ndarray,
-           t_end: float) -> Iterator[tuple[np.ndarray, ...]]:
-    """Advance every trajectory one event per step until all have passed ``t_end``.
+def _pick(cum: np.ndarray, rows: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """For each r, the count of entries of row ``rows[r]`` of `cum` that are
+    at most ``target[r]``: the index of the first entry above it.  Rows are
+    nondecreasing (sums of non-negative rates) and end above their target,
+    so a binary search finds it, one vectorised probe per bit of the row
+    length, without copying a row.  Below ``_COPY_ENTRIES`` entries in all,
+    copying the rows and comparing them whole costs fewer numpy calls."""
+    length, values = cum.shape[1], cum.ravel()
+    if rows.size * length < _COPY_ENTRIES:
+        return (cum.take(rows, axis=0) > target[:, None]).argmax(axis=1)
+    first = rows * length
+    last = first + (length - 1)
+    at = first.copy()  # the entries before `at` are at most the target
+    step = 1 << (length.bit_length() - 1)
+    while step:
+        probe = np.minimum(at + (step - 1), last)  # past the row's end: its last entry
+        at += (values.take(probe) <= target) * at.dtype.type(step)  # no cast of the sum
+        step >>= 1
+    return at - first
 
-    Yields, per step i, the members still running (ascending) and the time,
-    process and new local state of their event i.  The two paths differ only
-    in the row read and the state advance.  On the flat path the state is
-    the joint index x: a step reads x's `total`, draws, drops the finished
-    members, then reads the survivors' `cum` rows; pick c moves process
-    ``process[c]`` to ``local[x, c]``, and x becomes ``next[x, c]``.  On the
-    general path the state is the local states and CIM rows, and a step
-    first gathers every member's rates, as the total needs them.
+
+def _steps(table: RateTable, keys: np.ndarray, start: np.ndarray, t_end: float,
+           width: int | None = None) -> Iterator[tuple[np.ndarray, ...]]:
+    """Advance trajectories one event per step until all have passed ``t_end``.
+
+    Trajectory k has key ``keys[k]`` and starts from row k of `start` (local
+    states of any integer dtype, read when k is admitted).  At most `width`
+    run at once (None: all): each step first admits pending trajectories in
+    key order, after the survivors, so a run stays at full width until its
+    queue drains.  Each member carries its own stream, its key advanced past
+    the draws it used, so its events do not depend on when it was admitted.
+
+    Yields, per step, the members running (ascending) and the time, process
+    and new local state of their next event; when all are admitted at once,
+    step i yields event i of each.  The two paths differ only in the rows
+    read and the state advance.  On the flat path the state is the joint
+    index x: a step reads x's `total`, draws, drops the finished members,
+    then picks from the survivors' `cum` rows (:func:`_pick`); pick c
+    moves process ``process[c]`` to ``local[x, c]``, and x becomes
+    ``next[x, c]``.  On the general path the state is the local states and
+    CIM rows, and a step first gathers every member's rates, as the total
+    needs them.
     """
     n = start.shape[1]
-    width = table.rates.shape[1]
     flat = table.flat if _flat(table) else None
-    live = np.arange(keys.size, dtype=np.int32)
-    if flat is None:  # local states, the CIM row of every process, their rates
-        x = start.astype(np.int64)
-        state = (x, x @ table.weights + table.offsets, None)
+    if flat is None:  # local states and the CIM row of every process
+        cols = table.rates.shape[1]
+
+        def admit(rows):
+            x = rows.astype(np.int64)
+            return x, x @ table.weights + table.offsets
     else:  # the joint index
-        state = (start @ np.array(_place_values(table.cardinalities)),)  # callers check start
-    t = np.zeros(keys.size)
-    draw = 1
-    while live.size and n:
+        place = np.array(_place_values(table.cardinalities), dtype=np.int32)
+
+        def admit(rows):
+            return ((rows @ place).astype(np.int32),)  # callers check start
+    width = keys.size if width is None else width
+    live = np.empty(0, dtype=np.int32)
+    streams = np.empty(0, dtype=np.uint64)
+    t = np.empty(0)
+    state = admit(start[:0])
+    admitted = 0
+    while n:
+        room = min(width - live.size, keys.size - admitted)
+        if room > 0:
+            new = slice(admitted, admitted + room)
+            admitted += room
+            live = np.concatenate((live, np.arange(new.start, new.stop, dtype=np.int32)))
+            streams = np.concatenate((streams, keys[new] + _GAMMA))  # past draw 0
+            t = np.concatenate((t, np.zeros(room)))
+            state = tuple(map(np.concatenate, zip(state, admit(start[new]))))
+        if not live.size:
+            return
         if flat is None:  # every member's rates: the total needs them
             cum = table.rates.take(state[1], axis=0).reshape(live.size, -1).cumsum(axis=1)
-            state, total = (*state[:2], cum), cum[:, -1]
+            total = cum[:, -1]
         else:
-            total = flat.total.take(state[0])
-        u = _uniforms(keys, (draw, draw + 1))  # holding time, transition
+            cum, total = flat.cum, flat.total.take(state[0])
+        u = _uniforms(streams, (0, 1))  # holding time, transition
         with np.errstate(divide="ignore", invalid="ignore"):
             t = t - np.log1p(-u[:, 0]) / total
-        # the first candidate whose cumulative rate exceeds u * total; the cap
-        # keeps a u * total that rounds up to total on the last positive rate
-        target = np.minimum(u[:, 1] * total, np.nextafter(total, 0.0))
-        del u, total  # a general total is a view that holds every member's rates
+        # the pick is the first candidate whose cumulative rate exceeds u * total;
+        # where that rounds up to total, the float below it keeps the last positive rate
+        target = u[:, 1] * total
+        over = np.flatnonzero(target >= total)
+        target[over] = np.nextafter(total[over], 0.0)
+        del u, total
         ok = t <= t_end  # false past the horizon and where no process can move
         if not ok.all():
-            live, keys, t, target, *state = (a[ok] for a in (live, keys, t, target, *state))
-        cum = state[2] if flat is None else flat.cum.take(state[0], axis=0)  # survivors' rows
-        pick = np.count_nonzero(cum <= target[:, None], axis=1).astype(np.int32)
+            live, streams, t, target, *state = (a[ok] for a in (live, streams, t, target, *state))
+        # the survivors' rows: of every member's rates, or of the flat table
+        pick = _pick(cum, np.flatnonzero(ok) if flat is None else state[0], target)
+        del cum  # a general step's rates go before the next gather
         if flat is None:
-            j, s = np.divmod(pick, np.int32(width))
-            x, rows = state[:2]  # a name for the rates would hold them into the next gather
+            j, s = np.divmod(pick.astype(np.int32), np.int32(cols))
+            x, rows = state
             at = np.arange(live.size)
             rows += (s - x[at, j])[:, None] * table.weights[j]
             x[at, j] = s
@@ -360,7 +442,7 @@ def _steps(table: RateTable, keys: np.ndarray, start: np.ndarray,
             state = (flat.next.take(at),)
             j, s = flat.process.take(pick), flat.local.take(at).astype(np.int32)
         yield live, t, j, s
-        draw += 2
+        streams += _TWO_DRAWS
 
 
 def _sample(model: CtbnModel, keys: np.ndarray, initial: Sequence[int] | None,

@@ -38,7 +38,7 @@ def chain3():
 @pytest.fixture()
 def no_sampling(monkeypatch):
     """Make any trajectory sampling fail, so a check must come before it."""
-    def forbidden(*args):
+    def forbidden(*args, **kwargs):
         raise AssertionError("sampled before validating")
     monkeypatch.setattr(sentry_module, "_steps", forbidden)
     monkeypatch.setattr(simulate_module, "_steps", forbidden)

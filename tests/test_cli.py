@@ -329,6 +329,53 @@ def test_config_value_yields_to_a_flag_of_its_group(values, flags, tmp_path, cap
     assert (capsys.readouterr().out, out_c.read_bytes(), out_s.read_bytes()) == want
 
 
+@pytest.mark.parametrize("values, flags", [
+    ({"fast-threshold": 0.5}, ["--fast-threshold", "0.5"]),
+    ({"auto-threshold": True}, ["--auto-threshold"]),
+    ({"fast-threshold": 0.5, "auto-threshold": False}, ["--fast-threshold", "0.5"]),
+], ids=["number", "auto", "number-auto-off"])
+def test_config_threshold_stands_for_its_flag(values, flags, tmp_path, capsys):
+    # a threshold given only in the config meets the group's requirement
+    log = tmp_path / "log.csv"
+    log.write_text("time,process,state\n0.0,A,0\n0.0,B,0\n1.0,A,1\n1.5,B,1\n"
+                   "4.0,A,0\n4.1,B,0\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    out_c, out_s = tmp_path / "c.csv", tmp_path / "s.csv"
+    argv = ["cascades", str(log), "--out-cascades", str(out_c), "--out-scores", str(out_s)]
+    assert run([*argv, *flags]) == 0
+    want = capsys.readouterr().out, out_c.read_bytes(), out_s.read_bytes()
+    out_c.unlink()
+    out_s.unlink()
+    assert run(["--config", str(config), *argv]) == 0
+    assert (capsys.readouterr().out, out_c.read_bytes(), out_s.read_bytes()) == want
+
+
+@pytest.mark.parametrize("values, message", [
+    ({}, "one of the arguments --fast-threshold --auto-threshold is required"),
+    ({"auto-threshold": False}, "one of the arguments --fast-threshold --auto-threshold "
+                                "is required"),
+    ({"fast-threshold": 0.5, "auto-threshold": True},
+     "argument --auto-threshold: not allowed with argument --fast-threshold"),
+], ids=["neither", "auto-off", "both"])
+def test_config_threshold_group_errors(values, message, tmp_path, capsys):
+    # neither source gives a threshold, or the config gives both: the
+    # message and exit code of the command-line flags
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    argv = ["cascades", str(tmp_path / "log.csv"), "--out-cascades", str(tmp_path / "c.csv"),
+            "--out-scores", str(tmp_path / "s.csv")]
+    with pytest.raises(SystemExit) as exc:
+        run(["--config", str(config), *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"ctbn-sentry cascades: error: {message}"
+    if not values:  # as with no config at all
+        with pytest.raises(SystemExit):
+            run(argv)
+        assert capsys.readouterr().err.splitlines()[-1].endswith(message)
+    assert not list(tmp_path.glob("*.csv"))
+
+
 # -- cascades ----------------------------------------------------------------------
 
 

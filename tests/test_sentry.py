@@ -617,11 +617,27 @@ def test_ednt_mc_epsilon_reports_trajectories_spent(chain3):
 # -- the round loop ------------------------------------------------------------------
 
 
+def _record_runs(monkeypatch) -> list[dict]:
+    """Record every Monte Carlo engine run: its trajectories, its width and
+    the most members it yielded in one step."""
+    runs = []
+    real = sentry_module._steps
+
+    def steps(table, keys, start, t_end, width=None):
+        run = {"size": keys.size, "width": width, "live": 0}
+        runs.append(run)
+        for step in real(table, keys, start, t_end, width):
+            run["live"] = max(run["live"], step[0].size)
+            yield step
+    monkeypatch.setattr(sentry_module, "_steps", steps)
+    return runs
+
+
 @pytest.mark.parametrize("epsilon, cap, batches_per_call", [
     (0.02, 1100, None),  # states stop in different rounds, one on a short last batch
     (None, 300, None),  # fixed count: one batch of the cap per state
-    (0.02, 1100, 3),  # a round spans several engine calls
-    (0.02, 1100, 0.75),  # a budget below one batch: batches span calls
+    (0.02, 1100, 3),  # a round refills a run three batches wide
+    (0.02, 1100, 0.75),  # a budget below one batch: a batch runs in refilled slots
 ], ids=["epsilon", "fixed-count", "small-budget", "below-one-batch"])
 def test_ednt_mc_rounds_match_per_state_rule(chain3, monkeypatch, epsilon, cap,
                                               batches_per_call):
@@ -632,11 +648,7 @@ def test_ednt_mc_rounds_match_per_state_rule(chain3, monkeypatch, epsilon, cap,
         monkeypatch.setattr(sentry_module, "MC_CALL_BYTES",
                             int(batches_per_call * sentry_module.MC_BATCH)
                             * _step_bytes(chain3.rate_table))
-    calls = []
-    real = sentry_module._steps
-    monkeypatch.setattr(sentry_module, "_steps",
-                        lambda table, keys, *args: calls.append(keys.size)
-                        or real(table, keys, *args))
+    runs = _record_runs(monkeypatch)
     table = ednt_mc(chain3, 0.3, SimulationConfig(20.0, cap, 5), states=states,
                     epsilon=epsilon)
     got = list(zip(table.estimates.tolist(), table.stderrs.tolist(),
@@ -649,48 +661,43 @@ def test_ednt_mc_rounds_match_per_state_rule(chain3, monkeypatch, epsilon, cap,
     if epsilon is not None:
         assert len(set(counts.tolist())) >= 3
         assert set(table.stopped_by.tolist()) == {"halfwidth", "cap"}
-    # each round's trajectories, cut into calls of the budget's size
+    # one engine run per round, of every running state's batch, at most the
+    # budget's width live at once
     limit = sentry_module.MC_CALL_BYTES // _step_bytes(chain3.rate_table)
-    want_calls = []
-    for r in range(rounds):
-        size = np.clip(counts - r * batch, 0, batch).sum()
-        want_calls += [limit] * (size // limit) + [size % limit] * bool(size % limit)
-    assert calls == want_calls
-    if batches_per_call is None:
-        assert len(calls) == rounds  # every running state's batch in one call per round
-    else:
-        assert len(calls) > rounds
+    assert [run["size"] for run in runs] == [
+        np.clip(counts - r * batch, 0, batch).sum() for r in range(rounds)]
+    assert {run["width"] for run in runs} == {limit}
+    assert all(0 < run["live"] <= min(run["size"], limit) for run in runs)
+    if batches_per_call is not None:  # runs past their width, refilled near full
+        assert any(run["size"] > 2 * limit and run["live"] > 0.9 * limit for run in runs)
 
 
 def test_engine_calls_stay_within_the_budget(chain3, monkeypatch):
-    # fixed counts past the budget: one state's batch spans several calls
+    # fixed counts past the budget: one engine run, refilled, never wider
+    # than MC_CALL_BYTES // step
     limit = sentry_module.MC_CALL_BYTES // _step_bytes(chain3.rate_table)
     config = SimulationConfig(5.0, 2 * limit + 300, 4)
-    states = [0, 5]
-    calls = []
-    real = sentry_module._steps
-    monkeypatch.setattr(sentry_module, "_steps",
-                        lambda table, keys, *args: calls.append(keys.size)
-                        or real(table, keys, *args))
+    count, states = config.trajectory_count, [0, 5]
+    runs = _record_runs(monkeypatch)
     table = ednt_mc(chain3, 0.5, config, states=states)
-    total = len(states) * config.trajectory_count
-    assert calls == [limit] * (total // limit) + [total % limit]
+    total = len(states) * count
+    assert [(run["size"], run["width"]) for run in runs] == [(total, limit)]
+    assert 0.9 * limit < runs[0]["live"] <= limit
     mean, stderr = discounted_reward_mc(chain3, (1, 0, 1), RewardSpec(0.5), config)
-    assert calls[-3:] == [limit, limit, 300]
+    assert [(run["size"], run["width"]) for run in runs[1:]] == [(count, limit)]
     assert (mean, stderr) == (table.estimates[1], table.stderrs[1])
-    # a general reward holds its states too: smaller calls, the same scores
+    # a general reward holds its states too: a narrower run, the same scores
     general = RewardSpec(0.5, lump_sum=lambda x, y: 1.0, instantaneous=lambda x: 0.0)
     # two state tuples and about 20 words more per trajectory (3 processes)
     small = sentry_module.MC_CALL_BYTES // (_step_bytes(chain3.rate_table) + 8 * (2 * 3 + 20))
     assert small < limit
-    del calls[:]
     assert discounted_reward_mc(chain3, (1, 0, 1), general, config) == (mean, stderr)
-    count = config.trajectory_count
-    assert calls == [small] * (count // small) + [count % small]
-    # the same scores as with every state's batch in one call
+    assert [(run["size"], run["width"]) for run in runs[2:]] == [(count, small)]
+    assert 0.9 * small < runs[2]["live"] <= small
+    # the same scores with every trajectory of the round live at once
     monkeypatch.setattr(sentry_module, "MC_CALL_BYTES", 1 << 40)
     whole = ednt_mc(chain3, 0.5, config, states=states)
-    assert calls[-1] == total
+    assert runs[3]["live"] > limit
     assert whole.estimates.tolist() == table.estimates.tolist()
     assert whole.stderrs.tolist() == table.stderrs.tolist()
 

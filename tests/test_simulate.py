@@ -37,6 +37,7 @@ from ctbn_sentry import (
 )
 from ctbn_sentry import model as model_module
 from ctbn_sentry import simulate as simulate_module
+from ctbn_sentry.model import states_from_indices
 from ctbn_sentry.simulate import (_MASK64, _member_keys, _splitmix64, _step_bytes, _stream,
                                   format_float)
 from conftest import (chain13_model, chain_model, independent_togglers, make_random_model,
@@ -523,6 +524,60 @@ def test_ensemble_views_and_slices(chain3):
         ensemble[::2]
 
 
+def test_times_are_checked_once_where_arrays_enter(chain3, monkeypatch, tmp_path):
+    # the sampler's result and the CSV reader check their event times; a
+    # slice, a part or a member view of a checked ensemble is not checked again
+    checked = []
+    real = simulate_module._check_times
+    monkeypatch.setattr(simulate_module, "_check_times",
+                        lambda times, *args: checked.append(times.size) or real(times, *args))
+    ensemble = sample_ensemble(chain3, None, SimulationConfig(30.0, 40, 3))
+    assert checked == [ensemble.event_count]
+    for part in [ensemble[5:9], *simulate_module._parts(ensemble)]:
+        assert sum(t.event_count for t in part) == part.event_count
+        assert len(part[1:]) == len(part) - 1
+    assert ensemble[-1].times.size and len(checked) == 1
+    path = tmp_path / "ensemble.csv"
+    write_ensemble_csv(ensemble, path, chain3.names)
+    assert len(checked) == 1
+    read_ensemble_csv(path, 30.0)
+    assert checked == [ensemble.event_count] * 2
+
+
+@pytest.mark.parametrize("times, message", [
+    ([1.0, 1.0], "event times must be finite, positive and strictly increasing"),
+    ([0.5, 0.25], "event times must be finite, positive and strictly increasing"),
+    ([-1.0, 2.0], "event times must be finite, positive and strictly increasing"),
+    ([1.0, 7.0], "event beyond t_end"),
+], ids=["repeated", "decreasing", "negative", "past-t_end"])
+def test_every_entry_point_rejects_bad_times(times, message, chain3, monkeypatch, tmp_path):
+    t_end = 5.0
+    with pytest.raises(ValueError, match=message):  # a constructor call
+        Ensemble(times, [0, 1], [1, 1], [0, 2], [(0, 0, 0)], t_end)
+    with pytest.raises(ValueError, match=message):
+        Trajectory((0, 0, 0), times, [0, 1], [1, 1], t_end)
+    # from_trajectories: a trajectory's times changed in place after its check
+    changed = Trajectory((0, 0, 0), [1.0, 2.0], [0, 1], [1, 1], t_end)
+    changed.times[:] = times
+    with pytest.raises(ValueError, match=message):
+        Ensemble.from_trajectories([changed])
+    path = tmp_path / "log.csv"  # the CSV reader, in both layouts
+    for header, id_cell in (("time,process,state", ""), ("trajectory_id,time,process,state", "7,")):
+        rows = [f"{id_cell}0.0,{p},0" for p in "ABC"]
+        rows += [f"{id_cell}{t!r},{p},1" for t, p in zip(times, "AB")]
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(ValueError, match=message):
+            read_ensemble_csv(path, t_end)
+
+    def steps(table, keys, start, t_end, width=None):  # the sampler's result
+        for t in times:
+            yield (np.zeros(1, dtype=np.int32), np.array([t]), np.zeros(1, dtype=np.int32),
+                   np.ones(1, dtype=np.int32))
+    monkeypatch.setattr(simulate_module, "_steps", steps)
+    with pytest.raises(ValueError, match=message):
+        sample_trajectory(chain3, None, t_end, 1)
+
+
 # -- the competing-clocks sampler the engine replaced, as a distributional reference ----
 
 
@@ -662,6 +717,83 @@ def test_flat_and_general_paths_agree(monkeypatch):
                 assert len(flat) > 3 or count < 300 or not model.rate_table.rates.any()
 
 
+@pytest.mark.parametrize("count", [40, 5000], ids=["copied-rows", "binary-search"])
+def test_pick_counts_the_entries_at_most_the_target(count):
+    # oracle: the pick equals counting, on nondecreasing rows with runs of
+    # equal entries (zero rates), at targets 0, equal to an entry and at the
+    # float below a row's total, for row lengths around powers of two
+    rng = np.random.default_rng(9)
+    for length in (1, 2, 3, 7, 8, 9, 13, 16, 17, 40):
+        rates = rng.random((300, length)) * (rng.random((300, length)) < 0.6)
+        rates[:, -1] += 0.5  # every row ends above 0
+        cum = np.cumsum(rates, axis=1)
+        rows = rng.integers(0, 300, count)
+        assert (rows.size * length < simulate_module._COPY_ENTRIES) == (count == 40)
+        total = cum[rows, -1]
+        target = rng.random(rows.size) * total
+        target[::5] = 0.0
+        target[1::5] = cum[rows[1::5], rng.integers(0, length, rows[1::5].size)]
+        target[2::5] = total[2::5]
+        target = np.minimum(target, np.nextafter(total, 0.0))  # the engine's cap
+        want = np.count_nonzero(cum[rows] <= target[:, None], axis=1)
+        for dtype in (np.int32, np.int64):
+            got = simulate_module._pick(cum, rows.astype(dtype), target)
+            assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("cap", [None, 0], ids=["flat", "general"])
+def test_a_target_rounded_up_to_the_total_picks_the_last_positive_rate(cap, monkeypatch):
+    # with a subnormal exit rate, the largest transition draw times the total
+    # rounds up to the total; the engine lowers that target to the float below
+    # it, so the pick stays on the row's last positive rate
+    if cap is not None:
+        monkeypatch.setattr(simulate_module, "FLAT_TABLE_BYTES", cap)
+    monkeypatch.setattr(simulate_module, "_uniforms", lambda keys, draws: np.tile(
+        [2.0 ** -30, 1 - 2.0 ** -53], (keys.size, 1)))  # holding time, transition
+    rate = 2.0 ** -1031
+    model = independent_togglers([rate, rate, 0.0], [rate, rate, 0.0])
+    assert (1 - 2.0 ** -53) * (2 * rate) == 2 * rate  # the draw rounds up
+    traj = sample_trajectory(model, None, 2.0 ** 1003, 1)
+    # every state's last positive rate toggles process 1, about 2^1000 apart
+    assert traj.event_count == 7
+    assert traj.processes.tolist() == [1] * 7
+    assert traj.new_states.tolist() == [1, 0, 1, 0, 1, 0, 1]
+
+
+def _events_by_member(table, keys, start, t_end, width) -> list[list[tuple]]:
+    """Each trajectory's (time, process, new state) events, in the order one
+    `_steps` run yields them; checks that every step's members are ascending
+    and at most `width` (None: all)."""
+    events = [[] for _ in keys.tolist()]
+    for live, t, j, s in simulate_module._steps(table, keys, start, t_end, width):
+        assert live.size <= (width or keys.size) and (np.diff(live) > 0).all()
+        for k, event in zip(live.tolist(), zip(t.tolist(), j.tolist(), s.tolist())):
+            events[k].append(event)
+    return events
+
+
+@pytest.mark.parametrize("cap", [None, 0], ids=["flat", "general"])
+def test_refilled_runs_give_every_trajectory_the_same_events(cap, monkeypatch):
+    # oracle: a run of width 1 or 7, which admits trajectories into the
+    # slots of finished ones, gives every trajectory the events it has when
+    # all run at once, bit for bit; starts differ per trajectory and are
+    # int16 rows, as the Monte Carlo rounds pass them
+    rng = np.random.default_rng(20)
+    if cap is not None:
+        monkeypatch.setattr(simulate_module, "FLAT_TABLE_BYTES", cap)
+    for m, model in enumerate([*_path_models(), chain13_model()]):
+        table = model.rate_table
+        assert simulate_module._flat(table) == (cap is None)
+        keys = _member_keys(derive_seed(m), range(30))
+        start = states_from_indices(rng.integers(model.state_count, size=keys.size),
+                                    model.cardinalities).astype(np.int16)
+        t_end = 1.0 if model.process_count == 13 else 8.0
+        want = _events_by_member(table, keys, start, t_end, None)
+        assert sum(map(len, want)) > 30 or not table.rates.any()
+        for width in (1, 7):
+            assert _events_by_member(table, keys, start, t_end, width) == want
+
+
 def _table_models(chain3) -> list[CtbnModel]:
     """The shapes and the seeded random models (3-state processes among them)
     the flat table is checked on."""
@@ -790,6 +922,20 @@ def test_engine_peak_within_step_bytes(cap, monkeypatch):
             tracemalloc.stop()
         assert steps > 100
         assert peak < count * _step_bytes(table)
+        # with 20 times as many trajectories pending as run at once, the
+        # peak is that of the width: a pending trajectory costs the engine
+        # nothing beyond its key and start row, which the caller holds
+        width = 1000
+        keys = _member_keys(derive_seed(2), range(20 * width))
+        start = simulate_module._initial_states(model, keys, None).astype(np.int16)
+        tracemalloc.start()
+        try:
+            steps = sum(1 for _ in simulate_module._steps(table, keys, start, 2.0, width))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert steps > 100
+        assert peak < width * _step_bytes(table)
         monkeypatch.undo()
 
 
