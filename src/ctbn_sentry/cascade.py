@@ -16,7 +16,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import CtbnModel, build_state_space_graph, states_from_indices
+from .model import CtbnModel, StateSpaceGraph, states_from_indices
 from .sentry import RedntRanking, ednt_exact, rank_sentry_states, rednt
 from .simulate import Ensemble, Trajectory, _gaps, _parts, _write_table
 
@@ -265,7 +265,7 @@ def compare_rednt_vs_naive(
     """
     if max_active is None:
         max_active = max((len(p.parents) for p in model.processes), default=0)
-    gs = build_state_space_graph(model)
+    gs = StateSpaceGraph(model.cardinalities)
     ranking = rednt(ednt_exact(model, alpha), gs)
     rednt_list = rank_sentry_states(ranking, max_active)
 

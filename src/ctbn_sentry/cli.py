@@ -115,7 +115,7 @@ def cmd_simulate(args) -> int:
 def cmd_sentry(args) -> int:
     model = _load_model(args.model)
     _model.require_valid(model)
-    gs = _model.build_state_space_graph(model)
+    gs = _model.StateSpaceGraph(model.cardinalities)
     config = _sim.SimulationConfig(args.t_end, args.trajectories, args.seed)
 
     if args.exact:
@@ -170,7 +170,7 @@ def cmd_graph(args) -> int:
             part, name = _graphs.graph_partition(g, _load_blocks(args.blocks_file)), "partition"
         doc = {
             "blocks": {block: sorted(members) for block, members in part.blocks.items()},
-            "edges": [list(e) for e in part.graph.edges],
+            "edges": part.graph.edges,
         }
         text = json.dumps(doc, indent=1) + "\n"
         if args.dot:
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Model, simulate, and analyze cascading alarm processes.",
         allow_abbrev=False,
     )
-    parser.add_argument("--config", help="JSON file of flag defaults; flags override")
+    parser.add_argument("--config", help="JSON file of flag values; command-line flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a model file against all constraints")
@@ -300,20 +300,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    """Fold the values of a --config file in as the command's flag defaults: as
-    text, which the flag's type checks; an on/off flag takes only a boolean.
-    A key that no flag of the command takes is a usage error.  A flag on the
+def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """`argv` with the values of a --config file added as the command's flags,
+    ``--flag=value`` (an on/off flag, bare when true; it takes only a
+    boolean), so argparse checks them as it checks the command line.  A key
+    that no flag of the command takes is a usage error.  A flag on the
     command line drops the values of every flag in its mutually exclusive
-    group, unread.  Otherwise a config value (an on/off flag's true) stands
-    for its flag in the group: it meets the group's requirement, and two of
-    one group conflict as the two flags would."""
+    group, and its own, unread."""
     probe = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     probe.add_argument("--config")
     probe.add_argument("command", nargs="?")
     known, _ = probe.parse_known_args(argv)
     if not known.config:
-        return
+        return argv
     try:
         with open(known.config) as fh:
             values = json.load(fh)
@@ -323,41 +322,35 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
         parser.error("config file must hold a JSON object of flag values")
     command = parser._subparsers._group_actions[0].choices.get(known.command)
     if command is None:  # the parser reports the missing or unknown command
-        return
+        return argv
     flags = {flag.dest: flag for flag in command._actions
              if flag.option_strings and not isinstance(flag, argparse._HelpAction)}
     given = {arg.split("=", 1)[0] for arg in argv if arg.startswith("--")}
-    groups = command._mutually_exclusive_groups
-    dropped = {flag.dest for group in groups
-               if any(given.intersection(f.option_strings) for f in group._group_actions)
-               for flag in group._group_actions}
-    chosen = set()  # the flags the config gives a value or turns on
+    dropped = {flag.dest for flag in flags.values() if given.intersection(flag.option_strings)}
+    dropped |= {flag.dest for group in command._mutually_exclusive_groups
+                if dropped.intersection(f.dest for f in group._group_actions)
+                for flag in group._group_actions}
+    tokens = []
     for key, value in values.items():
         flag = flags.get(key.replace("-", "_"))
         if flag is None:
             command.error(f"config key {key!r} is not a flag of {known.command}")
+        name = flag.option_strings[0]
         if flag.dest in dropped:
             continue
         if not isinstance(flag, argparse._StoreTrueAction):
-            value = str(value)
+            tokens.append(f"{name}={value}")
         elif not isinstance(value, bool):
-            command.error(f"argument {flag.option_strings[0]}: config value must be "
-                          f"true or false, got {value!r}")
-        command.set_defaults(**{flag.dest: value})
-        if value is not False:
-            chosen.add(flag.dest)
-    for group in groups:
-        names = [f.option_strings[0] for f in group._group_actions if f.dest in chosen]
-        if len(names) > 1:
-            command.error(f"argument {names[1]}: not allowed with argument {names[0]}")
-        group.required &= not names
+            command.error(f"argument {name}: config value must be true or false, got {value!r}")
+        elif value:
+            tokens.append(name)
+    return argv + tokens
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    _apply_config(parser, argv)
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_apply_config(parser, argv))
     try:
         return args.func(args)
     except (_InputError, OSError) as exc:

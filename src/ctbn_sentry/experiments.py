@@ -166,13 +166,10 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict[str, Path]:
     params = NaiveParams(comparison.fast_threshold, spec.min_cascade_length)
     manifest = {
         "experiment": spec.name,
-        "nodes": list(spec.nodes),
-        "edges": [list(e) for e in spec.edges],
+        "nodes": spec.nodes,
+        "edges": spec.edges,
         "slow_processes": sorted(spec.slow),
-        "rates": {"slow": (list(spec.slow_rate)
-                           if isinstance(spec.slow_rate, (tuple, list))
-                           else spec.slow_rate),
-                  "fast": spec.fast_rate, "base": spec.base_rate},
+        "rates": {"slow": spec.slow_rate, "fast": spec.fast_rate, "base": spec.base_rate},
         "alpha": spec.alpha,
         "t_end": spec.t_end,
         "trajectory_count": spec.trajectory_count,

@@ -15,8 +15,6 @@ from typing import Iterable, Mapping
 import numpy as np
 import scipy.sparse as sp
 
-NodeSet = frozenset
-
 
 def _checked_edges(nodes: tuple[str, ...], edges: Iterable[tuple[str, str]],
                    directed: bool) -> list[tuple[str, str]]:
@@ -196,7 +194,7 @@ class SeparationCertificate:
             "C": sorted(self.c),
             "separated": self.separated,
             "ancestral_set": sorted(self.ancestral_set),
-            "moral_edges_added": [list(e) for e in self.moral_edges_added],
+            "moral_edges_added": self.moral_edges_added,
         })
 
 
@@ -385,15 +383,13 @@ def nonadjacent_scc_independence(g: DiGraph, block_a: str | Iterable[str],
         raise ValueError(f"components {name_a!r} and {name_b!r} are adjacent; no certificate")
     desc_a = descendants(bg, [name_a])
     desc_b = descendants(bg, [name_b])
-    options = []
+    options = []  # at least one: the condensation is acyclic
     # when block_a is not downstream of block_b, the ancestral closure of
     # {a, b} + Pa(b) contains no descendant of b, so Pa(b) cuts b off entirely
     if name_a not in desc_b:
         options.append((frozenset(bg.parents_of(name_b)), "b"))
     if name_b not in desc_a:
         options.append((frozenset(bg.parents_of(name_a)), "a"))
-    if not options:  # impossible: the condensation is acyclic
-        raise AssertionError("cycle between condensation blocks")
     # smaller separating set first; ties favor conditioning on block_b's parents
     options.sort(key=lambda item: (len(cond.unroll(item[0])), item[1] != "b"))
     sep_blocks = options[0][0]

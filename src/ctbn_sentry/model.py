@@ -33,8 +33,6 @@ ROW_SUM_TOL = 1e-9
 DEFAULT_STATE_CAP = 1 << 20
 DENSE_BYTES_CAP = 1 << 30  # largest dense S x S float64 matrix amalgamate builds (1 GiB)
 
-StateVector = tuple  # one local state per process, in model process order
-
 
 class InvalidModelError(ValueError):
     """Raised when an operation requires a valid model but validation fails."""

@@ -38,8 +38,8 @@ BACKWARD_ERROR_TOL = 1e-14  # componentwise backward error the exact solve must 
 MAX_REFINEMENTS = 8
 MC_BATCH = 200  # trajectories a state adds per round of the stopping rule
 # Live bytes of one Monte Carlo engine run, which sets its width (see
-# simulate._step_bytes): 5 461 trajectories on the flat path, 1 057 of a
-# 13-process binary model on the general path.
+# simulate._step_bytes): 5 461 trajectories on the flat path, 1 337 of a
+# 13-process binary model on the general path, whose state is the CIM rows.
 MC_CALL_BYTES = 1 << 20
 
 

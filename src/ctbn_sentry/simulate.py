@@ -328,14 +328,14 @@ def _step_bytes(table: RateTable) -> int:
     about 24 vectors: it searches the table's rows where they are, or copies
     fewer than ``_COPY_ENTRIES`` of their entries (:func:`_pick`), a fixed
     36 KiB at most, which matters only to a narrow run.  A general step
-    holds two copies of the gathered rates (processes x CIM width), of the
-    state and of the row indices, and about 20 vectors.  A pending
+    holds two copies of the gathered rates (processes x CIM width) and of
+    the CIM rows, and about 20 vectors.  A pending
     trajectory costs the engine nothing beyond its key and start row, which
     the caller holds."""
     if _flat(table):
         return 8 * 24
     n, width = table.weights.shape[0], table.rates.shape[1]
-    return 8 * (2 * n * width + 4 * n + 20)
+    return 8 * (2 * n * width + 2 * n + 20)
 
 
 def _pick(cum: np.ndarray, rows: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -377,23 +377,23 @@ def _steps(table: RateTable, keys: np.ndarray, start: np.ndarray, t_end: float,
     index x: a step reads x's `total`, draws, drops the finished members,
     then picks from the survivors' `cum` rows (:func:`_pick`); pick c
     moves process ``process[c]`` to ``local[x, c]``, and x becomes
-    ``next[x, c]``.  On the general path the state is the local states and
-    CIM rows, and a step first gathers every member's rates, as the total
-    needs them.
+    ``next[x, c]``.  On the general path the state is the CIM row of every
+    process, which holds its local state (:class:`~ctbn_sentry.model.RateTable`),
+    and a step first gathers every member's rates, as the total needs them.
     """
     n = start.shape[1]
     flat = table.flat if _flat(table) else None
-    if flat is None:  # local states and the CIM row of every process
+    if flat is None:  # the CIM row of every process
         cols = table.rates.shape[1]
+        cards = np.array(table.cardinalities)
 
         def admit(rows):
-            x = rows.astype(np.int64)
-            return x, x @ table.weights + table.offsets
+            return rows @ table.weights + table.offsets
     else:  # the joint index
         place = np.array(_place_values(table.cardinalities), dtype=np.int32)
 
         def admit(rows):
-            return ((rows @ place).astype(np.int32),)  # callers check start
+            return (rows @ place).astype(np.int32)  # callers check start
     width = keys.size if width is None else width
     live = np.empty(0, dtype=np.int32)
     streams = np.empty(0, dtype=np.uint64)
@@ -408,16 +408,16 @@ def _steps(table: RateTable, keys: np.ndarray, start: np.ndarray, t_end: float,
             live = np.concatenate((live, np.arange(new.start, new.stop, dtype=np.int32)))
             streams = np.concatenate((streams, keys[new] + _GAMMA))  # past draw 0
             t = np.concatenate((t, np.zeros(room)))
-            state = tuple(map(np.concatenate, zip(state, admit(start[new]))))
+            state = np.concatenate((state, admit(start[new])))
         if not live.size:
             return
         if flat is None:  # every member's rates: the total needs them
-            cum = table.rates.take(state[1], axis=0).reshape(live.size, -1).cumsum(axis=1)
+            cum = table.rates.take(state, axis=0).reshape(live.size, -1).cumsum(axis=1)
             total = cum[:, -1]
         else:
-            cum, total = flat.cum, flat.total.take(state[0])
+            cum, total = flat.cum, flat.total.take(state)
         u = _uniforms(streams, (0, 1))  # holding time, transition
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t = t - np.log1p(-u[:, 0]) / total
         # the pick is the first candidate whose cumulative rate exceeds u * total;
         # where that rounds up to total, the float below it keeps the last positive rate
@@ -427,19 +427,17 @@ def _steps(table: RateTable, keys: np.ndarray, start: np.ndarray, t_end: float,
         del u, total
         ok = t <= t_end  # false past the horizon and where no process can move
         if not ok.all():
-            live, streams, t, target, *state = (a[ok] for a in (live, streams, t, target, *state))
+            live, streams, t, target, state = (a[ok] for a in (live, streams, t, target, state))
         # the survivors' rows: of every member's rates, or of the flat table
-        pick = _pick(cum, np.flatnonzero(ok) if flat is None else state[0], target)
+        pick = _pick(cum, np.flatnonzero(ok) if flat is None else state, target)
         del cum  # a general step's rates go before the next gather
         if flat is None:
             j, s = np.divmod(pick.astype(np.int32), np.int32(cols))
-            x, rows = state
-            at = np.arange(live.size)
-            rows += (s - x[at, j])[:, None] * table.weights[j]
-            x[at, j] = s
+            old = (state[np.arange(live.size), j] - table.offsets[j]) % cards[j]
+            state += (s - old)[:, None] * table.weights[j]
         else:
-            at = state[0] * flat.process.size + pick  # (x, pick) in the flattened tables
-            state = (flat.next.take(at),)
+            at = state * flat.process.size + pick  # (x, pick) in the flattened tables
+            state = flat.next.take(at)
             j, s = flat.process.take(pick), flat.local.take(at).astype(np.int32)
         yield live, t, j, s
         streams += _TWO_DRAWS

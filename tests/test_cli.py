@@ -226,6 +226,22 @@ def test_sentry_exact_golden(chain3_path, tmp_path):
     assert out.read_bytes() == (GOLDEN / "sentry_chain3_exact.csv").read_bytes()
 
 
+def test_sentry_max_active_past_the_state_cap(tmp_path, capsys):
+    # 21 processes, 2 097 152 joint states: past the cap, which an exact solve
+    # and a Monte Carlo run over every state keep
+    path = tmp_path / "chain21.json"
+    save_model(chain_model(21), path)
+    out = tmp_path / "sentry.csv"
+    base = ["sentry", str(path), "--trajectories", "20", "--t-end", "2", "--out", str(out)]
+    assert run([*base, "--max-active", "1"]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 22  # no alarm, or one of 21
+    out.unlink()
+    assert run([*base, "--exact"]) == 1
+    assert run(base) == 1
+    assert not out.exists()
+    assert all(line.startswith("error: ") for line in capsys.readouterr().err.splitlines())
+
+
 @pytest.mark.parametrize("command", [["sentry", "model.json", "--out", "s.csv"],
                                      ["experiment", "chain3", "--out", "x"]])
 def test_negative_max_active_usage_error(command, capsys):
@@ -293,6 +309,20 @@ def test_config_unknown_key_is_usage_error(values, key, chain3_path, tmp_path, c
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     assert errors == [f"ctbn-sentry sentry: error: config key {key!r} is not a flag of sentry"]
     assert not out.exists()
+
+
+def test_config_values_write_what_their_flags_write(chain3_path, tmp_path, capsys):
+    # a negative number, and a value holding "=", reach argparse whole
+    out = tmp_path / "a=b.csv"
+    flags = ["--seed", "-5", "--t-end", "2.5", "--out", str(out)]
+    base = ["simulate", chain3_path, "--trajectories", "3", "--single-file"]
+    assert run([*base, *flags]) == 0
+    want = capsys.readouterr().out, out.read_bytes()
+    out.unlink()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": -5, "t-end": 2.5, "out": str(out)}))
+    assert run(["--config", str(config), *base]) == 0
+    assert (capsys.readouterr().out, out.read_bytes()) == want
 
 
 def test_config_boolean_and_flag_precedence(chain3_path, tmp_path):

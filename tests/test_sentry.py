@@ -743,13 +743,13 @@ def test_ednt_mc_rejects_non_integer_states(chain3, states, message, no_sampling
 def test_flat_calls_hold_more_trajectories(monkeypatch, no_flat_table):
     # on chain13 (the benchmark's Monte Carlo model) a flat step holds the
     # survivors' rows of 13 real moves, not 13 x 2 candidate columns: an
-    # engine call runs at least twice the 1 057 trajectories it ran when
-    # both paths were counted by the general path's bytes
+    # engine call runs at least twice the 1 337 trajectories of a general
+    # call, whose state is the 13 CIM rows
     table = chain13_model().rate_table
     flat = sentry_module.MC_CALL_BYTES // _step_bytes(table)
-    assert flat >= 2 * 1057
+    assert flat >= 2 * 1337
     monkeypatch.setattr(simulate_module, "FLAT_TABLE_BYTES", 0)
-    assert sentry_module.MC_CALL_BYTES // _step_bytes(table) == 1057
+    assert sentry_module.MC_CALL_BYTES // _step_bytes(table) == 1337
 
 
 def test_ednt_table_stop_reasons_default_to_empty():

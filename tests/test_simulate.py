@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -758,6 +759,20 @@ def test_a_target_rounded_up_to_the_total_picks_the_last_positive_rate(cap, monk
     assert traj.event_count == 7
     assert traj.processes.tolist() == [1] * 7
     assert traj.new_states.tolist() == [1, 0, 1, 0, 1, 0, 1]
+
+
+
+@pytest.mark.parametrize("cap", [None, 0], ids=["flat", "general"])
+def test_a_subnormal_exit_rate_samples_without_warnings(cap, monkeypatch):
+    # a holding time over the smallest subnormal rate overflows to inf, past
+    # any horizon: the member stops with no events and no overflow warning
+    if cap is not None:
+        monkeypatch.setattr(simulate_module, "FLAT_TABLE_BYTES", cap)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ensemble = sample_ensemble(toggler_model(5e-324, 5e-324), None,
+                                   SimulationConfig(1.7e308, 300, 1))
+    assert ensemble.event_count == 0 and len(ensemble) == 300
 
 
 def _events_by_member(table, keys, start, t_end, width) -> list[list[tuple]]:
