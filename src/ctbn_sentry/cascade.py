@@ -213,8 +213,8 @@ def default_fast_threshold(trajectories: Ensemble | Iterable[Trajectory]) -> flo
     """
     ensemble = Ensemble.from_trajectories(trajectories)
     gaps = _gaps(ensemble.times, ensemble.offsets)
-    gaps = gaps[~np.isnan(gaps)]
-    return float(np.median(gaps)) if gaps.size else math.inf
+    gaps = gaps[~np.isnan(gaps)]  # a fresh array, so the median may partition it in place
+    return float(np.median(gaps, overwrite_input=True)) if gaps.size else math.inf
 
 
 def jaccard_at_k(ranking_a: Sequence, ranking_b: Sequence, k: int) -> float:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 
 def _checked_edges(nodes: tuple[str, ...], edges: Iterable[tuple[str, str]],
@@ -275,7 +274,8 @@ def graph_partition(g: DiGraph, blocks: Mapping[str, Iterable[str]]) -> GraphPar
 def strongly_connected_components(g: DiGraph) -> list[frozenset]:
     """The strongly connected components, in the order of their first node
     in ``g.nodes``."""
-    from scipy.sparse.csgraph import connected_components  # loaded on first use
+    import scipy.sparse as sp  # loaded on first use
+    from scipy.sparse.csgraph import connected_components
 
     position = {node: i for i, node in enumerate(g.nodes)}
     n = len(g.nodes)

@@ -21,13 +21,14 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import expm
 
 from .graphs import DiGraph, _to_dot, digraph_to_dot, is_ancestral
+
+if TYPE_CHECKING:  # scipy loads inside the functions that call it: sampling needs numpy alone
+    import scipy.sparse as sp
 
 ROW_SUM_TOL = 1e-9
 DEFAULT_STATE_CAP = 1 << 20
@@ -556,6 +557,8 @@ def intensity_matrix(model: CtbnModel) -> sp.csr_matrix:
     :func:`_move_table` that the sampler's :class:`FlatTable` is summed from,
     plus the diagonal, so nnz = S * (1 + sum_j (c_j - 1)).
     """
+    import scipy.sparse as sp  # loaded on first use
+
     gs = build_state_space_graph(model)
     rates, moves = _move_table(model.rate_table)
     n = gs.node_count
@@ -589,6 +592,8 @@ def transient_distribution(intensity: np.ndarray, initial: np.ndarray, t: float)
     Only intended for small instances; used as the ground-truth oracle for
     the trajectory sampler.
     """
+    from scipy.linalg import expm  # loaded on first use
+
     p0 = np.asarray(initial, dtype=float)
     return p0 @ expm(np.asarray(intensity) * float(t))
 

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import bicgstab
 
 from .model import (
     CtbnModel,
@@ -243,6 +241,9 @@ def ednt_exact(model: CtbnModel, alpha: float) -> np.ndarray:
     ``ValueError`` reports the error reached if ``MAX_REFINEMENTS`` steps do
     not get there.  States with exit rate 0 get V = 0 exactly.
     """
+    import scipy.sparse as sp  # loaded on first use
+    from scipy.sparse.linalg import bicgstab
+
     _check_rate("alpha", alpha)
     Q = intensity_matrix(model)
     q = -Q.diagonal()

@@ -362,6 +362,52 @@ def test_read_ensemble_csv_requires_every_initial_row(tmp_path):
         read_ensemble_csv(path)
 
 
+@pytest.mark.parametrize("state", [40000, -1])
+def test_read_ensemble_csv_rejects_local_states_past_int16(state, tmp_path):
+    # checked on the parsed integers, before they are narrowed to int16
+    path = tmp_path / "wide.csv"
+    for header, id_cell in (("time,process,state", ""), ("trajectory_id,time,process,state", "3,")):
+        path.write_text(f"{header}\n{id_cell}0.0,A,0\n{id_cell}1.5,A,{state}\n")
+        with pytest.raises(ValueError, match=r"^local states must be in \[0, 32767\]$"):
+            read_ensemble_csv(path)
+
+
+def _interleaved(path, out) -> None:
+    """Rewrite an id-sorted trajectory CSV with its members' rows dealt in
+    turn: row i of every member before row i + 1 of any."""
+    header, *lines = path.read_text().splitlines()
+    ids = [int(line.split(",", 1)[0]) for line in lines]
+    head = {k: len(ids) - 1 - i for i, k in enumerate(reversed(ids))}  # a member's first row
+    rank = [i - head[k] for i, k in enumerate(ids)]  # position within the member
+    order = sorted(range(len(lines)), key=lambda r: (rank[r], ids[r]))
+    out.write_text("\n".join([header] + [lines[r] for r in order]) + "\n")
+
+
+def test_read_ensemble_csv_peak_bytes_a_row(tmp_path):
+    rng = np.random.default_rng(4)
+    members, events, n = 512, 128, 4
+    times = np.cumsum(rng.uniform(0.05, 1.5, (members, events)), axis=1).ravel()
+    ensemble = Ensemble(times, rng.integers(0, n, times.size), rng.integers(0, 2, times.size),
+                        np.arange(members + 1) * events, rng.integers(0, 2, (members, n)),
+                        float(times.max()))
+    sorted_path, mixed_path = tmp_path / "sorted.csv", tmp_path / "mixed.csv"
+    write_ensemble_csv(ensemble, sorted_path, ["A", "B", "C", "D"])
+    _interleaved(sorted_path, mixed_path)
+    rows = members * (events + n)
+    assert rows >= 1 << 16
+    for path in (sorted_path, mixed_path):
+        read_ensemble_csv(path)  # first-use allocations outside the measure
+        tracemalloc.start()
+        try:
+            loaded, _ = read_ensemble_csv(path, ensemble.t_end)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.times, ensemble.times)
+        assert np.array_equal(loaded.initial_states, ensemble.initial_states)
+        assert peak <= 80 * rows, f"{path.name}: {peak / rows:.1f} bytes a row"
+
+
 def test_read_ensemble_csv_orders_members_by_id(tmp_path):
     # rows of one member need not be adjacent; members come back sorted by id
     path = tmp_path / "mixed.csv"
